@@ -625,11 +625,12 @@ def _report_campaign(directory: str) -> None:
 def _materialized_report_document(directory: str) -> Dict:
     """The pre-columnar reader: record dicts materialized for every trial."""
     from repro.analysis import campaign_report as cr
+    from tests.oracles import per_iteration_cost_series_reference
 
     results = cr.load_campaign(directory)
     series = []
     for algorithm in results.axis_values("algorithm"):
-        points = cr.per_iteration_cost_series_reference(results, algorithm)
+        points = per_iteration_cost_series_reference(results, algorithm)
         if points:
             series.append({"algorithm": algorithm,
                            "points": [[index, cost] for index, cost in points]})
@@ -651,9 +652,9 @@ def test_report_aggregation_streams_columns(tmp_path):
     Builds a completed 4-experiment campaign (10^5 trials total at full
     budget), then times ``campaign_report_document`` — which streams
     ``duration_s``/``index`` off the columnar mmap — against the retained
-    materializing oracle that JSON-decodes every stored payload.  The two
-    documents must serialize to identical bytes (the same pin
-    ``tests/test_storage_compat.py`` applies across store formats), and the
+    materializing oracle (``tests/oracles.py``) that JSON-decodes every
+    stored payload.  The two documents must serialize to identical bytes
+    (the same pin ``tests/test_storage_compat.py`` applies), and the
     block-compressed payload sidecar must stay at or under half its raw
     size.
     """

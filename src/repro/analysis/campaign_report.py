@@ -88,10 +88,10 @@ class CampaignResults:
     def document(self, name: str) -> Dict[str, Any]:
         """The stored history document of experiment *name* (cached).
 
-        Records live in the columnar sidecars since results format 2; this
-        materializes the manifest-referenced prefix under ``"records"``, so
-        callers that genuinely need configurations keep the inline-records
-        shape.  Aggregation code should prefer :meth:`view`.
+        Records live in the columnar sidecars; this materializes the
+        manifest-referenced prefix under ``"records"`` for callers that
+        genuinely need configurations.  Aggregation code should prefer
+        :meth:`view`.
         """
         if name not in self._documents:
             view = self.view(name)
@@ -226,7 +226,7 @@ def per_iteration_cost_series(results: CampaignResults,
     parsing).  The cross-experiment reduction stays on
     :func:`statistics.mean` — its exact rational summation is what the
     pre-columnar reader used, so the emitted floats are bit-identical
-    (:func:`per_iteration_cost_series_reference` pins this in tests).
+    (``tests/oracles.py`` keeps that reader to pin this in tests).
     """
     per_experiment: List[Any] = []
     for entry in _completed_matching(results, algorithm=algorithm):
@@ -244,30 +244,6 @@ def per_iteration_cost_series(results: CampaignResults,
                 for index in range(horizon)]
     return [(float(index),
              mean(float(durations[index]) for durations in per_experiment))
-            for index in range(horizon)]
-
-
-def per_iteration_cost_series_reference(
-        results: CampaignResults,
-        algorithm: str) -> List[Tuple[float, float]]:
-    """The pre-columnar oracle for :func:`per_iteration_cost_series`.
-
-    Materializes every record dict and aggregates them the way the original
-    reader did; retained so tests can pin the streaming path bit-identical.
-    """
-    per_experiment: List[List[float]] = []
-    for entry in _completed_matching(results, algorithm=algorithm):
-        records = results.document(entry["name"]).get("records", [])
-        durations = [float(record.get("duration_s", 0.0))
-                     for record in sorted(records,
-                                          key=lambda r: int(r["index"]))]
-        if durations:
-            per_experiment.append(durations)
-    if not per_experiment:
-        return []
-    horizon = min(len(durations) for durations in per_experiment)
-    return [(float(index),
-             mean(durations[index] for durations in per_experiment))
             for index in range(horizon)]
 
 

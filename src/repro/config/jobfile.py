@@ -345,6 +345,9 @@ class JobFile:
         ("boot", "runtime"): "runtime+boot",
     }
 
+    #: job-file keys whose spec field carries another name.
+    _SPEC_FIELD_NAMES = {"os": "os_name"}
+
     def __init__(
         self,
         name: str,
@@ -416,7 +419,19 @@ class JobFile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobFile":
+        """Rebuild a job from :meth:`to_dict` output.
+
+        Every job key that is also a spec field is validated by
+        :meth:`ExperimentSpec.check_field`, so a bad value fails with the
+        same message it would get in a spec, campaign or HTTP payload.
+        """
+        from repro.core.spec import ExperimentSpec
+
         job = data.get("job", {})
+        for key, value in job.items():
+            field = cls._SPEC_FIELD_NAMES.get(key, key)
+            if field in ExperimentSpec.FIELD_TYPES:
+                ExperimentSpec.check_field(field, value)
         parameters = [parameter_from_dict(entry) for entry in data.get("parameters", [])]
         space = ConfigSpace(parameters, name=job.get("name", "job"))
         frozen = job.get("frozen") or {}
@@ -430,13 +445,13 @@ class JobFile:
             bench_tool=job.get("bench_tool", "wrk"),
             metric=job.get("metric", "throughput"),
             space=space,
-            iterations=int(job.get("iterations", 250)),
+            iterations=job.get("iterations", 250),
             time_budget_s=job.get("time_budget_s"),
             favor_kinds=job.get("favor_kinds") or [],
             frozen=frozen,
-            seed=int(job.get("seed", 0)),
-            workers=int(job.get("workers", 1)),
-            batch_size=int(job.get("batch_size", 1)),
+            seed=job.get("seed", 0),
+            workers=job.get("workers", 1),
+            batch_size=job.get("batch_size", 1),
             execution=job.get("execution") or "batch",
             algorithm=job.get("algorithm") or "deeptune",
             plateau_trials=job.get("plateau_trials"),

@@ -31,7 +31,7 @@ from repro.apps.base import Application, BenchmarkTool
 from repro.apps.registry import default_bench_tool_for, get_application
 from repro.config.encoding import ConfigEncoder
 from repro.config.space import Configuration, ConfigSpace
-from repro.core.spec import FAVOR_PRESETS, ExperimentSpec
+from repro.core.spec import ExperimentSpec
 from repro.deeptune.importance import parameter_importance
 from repro.deeptune.model import DeepTuneModel
 from repro.deeptune.transfer import (ZooError, load_zoo_index, load_zoo_model,
@@ -59,10 +59,6 @@ from repro.search.registry import create_algorithm
 from repro.vm.machine import PAPER_TESTBED, RISCV_EMBEDDED_BOARD, HardwareSpec
 from repro.vm.os_model import OSModel, linux_os_model, unikraft_os_model
 from repro.vm.simulator import SystemSimulator
-
-#: kept as an alias for backwards compatibility; the presets now live with
-#: the spec (the single place every front-end resolves them through).
-_FAVOR_PRESETS = FAVOR_PRESETS
 
 
 def _build_metric(metric: str, application: Application) -> Metric:

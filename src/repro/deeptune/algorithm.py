@@ -244,9 +244,7 @@ class DeepTuneSearch(SearchAlgorithm):
         super().import_state(state)
         self.model = copy.deepcopy(state["model"])
         self.transferred = bool(state["transferred"])
-        # .get(): checkpoints written before the surrogate zoo carry no
-        # provenance field and must keep resuming.
-        self.provenance = copy.deepcopy(state.get("provenance"))
+        self.provenance = copy.deepcopy(state["provenance"])
         observed = np.array(state["observed_matrix"], dtype=np.float64)
         self._observed_count = observed.shape[0]
         self._observed_matrix = ensure_row_capacity(

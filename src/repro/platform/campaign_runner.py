@@ -87,21 +87,6 @@ def _manifest_path(directory: str) -> str:
     return os.path.join(directory, MANIFEST_NAME)
 
 
-def _migrate_v1(document: Dict[str, Any]) -> Dict[str, Any]:
-    """Upgrade a PR 4-era (version 1) manifest to the fabric layout."""
-    for entry in document.get("experiments", []):
-        entry.setdefault("attempts", 0)
-        entry.setdefault("claims", 0)
-        entry.setdefault("lease", None)
-        entry.setdefault("retry_at", None)
-    document["format_version"] = MANIFEST_FORMAT_VERSION
-    document.setdefault("invocation", None)
-    document.setdefault("state", "complete" if all(
-        entry["status"] in TERMINAL_STATUSES
-        for entry in document.get("experiments", [])) else "running")
-    return document
-
-
 def load_manifest(directory: str) -> Dict[str, Any]:
     """Load and validate the campaign manifest stored in *directory*."""
     path = _manifest_path(directory)
@@ -110,8 +95,6 @@ def load_manifest(directory: str) -> Dict[str, Any]:
     if document.get("kind") != "campaign":
         raise ValueError("{} is not a campaign manifest".format(path))
     version = document.get("format_version")
-    if version == 1:
-        return _migrate_v1(document)
     if version != MANIFEST_FORMAT_VERSION:
         raise ValueError("unsupported campaign manifest version: {!r}".format(
             version))

@@ -192,13 +192,12 @@ class ResultsStore:
     #: columnar sidecars holding the trial rows a manifest references (see
     #: :mod:`repro.platform.trialstore`): fixed-width numeric columns in
     #: ``.trials.bin``, variable-width configuration payloads in
-    #: ``.trials.jsonl``.  Manifests carry only metadata, summaries, and a
-    #: ``trials`` row count; format version 3 adds a block-compressed
-    #: payload sidecar whose index travels as ``payload_blocks`` (with
-    #: ``payload_format`` naming the sidecar's on-disk form, so a legacy
-    #: raw sidecar keeps resuming unconverted).  Version-2 manifests (raw
-    #: sidecars) and version-1 documents with inline records are still
-    #: loadable.
+    #: ``.trials.jsonl``, block-compressed with its index carried in the
+    #: manifest as ``payload_blocks``.  Manifests carry only metadata,
+    #: summaries, a ``trials`` row count and that index.  Format version 3
+    #: is the only one read or written: documents of any other version
+    #: (the inline records of version 1, the raw sidecars of version 2)
+    #: are rejected with ``ValueError``.
     TRIAL_COLUMNS_SUFFIX = ".trials.bin"
     TRIAL_PAYLOADS_SUFFIX = ".trials.jsonl"
     #: rolling backup of the previous checkpoint: the fallback when the
@@ -263,7 +262,6 @@ class ResultsStore:
             "trials": len(records),
             "trial_columns": os.path.basename(columns_path),
             "trial_payloads": os.path.basename(payloads_path),
-            "payload_format": trialstore.PAYLOAD_FORMAT_BLOCKS,
             "payload_blocks": blocks,
         }
         text = json.dumps(document, indent=2) + "\n"
@@ -287,7 +285,7 @@ class ResultsStore:
                                              ThroughputMetric)
             metric = metric_cls()
         history = ExplorationHistory(metric)
-        for entry in document.get("records", []):
+        for entry in document["records"]:
             history.add(record_from_dict(entry, space))
         return history
 
@@ -398,7 +396,7 @@ class ResultsStore:
         with open(path, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=fieldnames)
             writer.writeheader()
-            for record in document.get("records", []):
+            for record in document["records"]:
                 row = {key: record.get(key) for key in fieldnames
                        if key not in parameter_names}
                 for parameter in parameter_names:
@@ -423,13 +421,21 @@ def _sidecar_paths(manifest_path: str, document: Dict[str, object]) -> tuple:
                                                                str(payloads))
 
 
+def _attach_records(path: str, document: Dict[str, object]) -> Dict[str, object]:
+    """Read the manifest-referenced sidecar prefix into ``"records"``."""
+    columns_path, payloads_path = _sidecar_paths(path, document)
+    document["records"] = trialstore.read_record_dicts(
+        columns_path, payloads_path, int(document.get("trials", 0)),
+        document.get("payload_blocks"))
+    return document
+
+
 def load_history_document(path: str) -> Dict[str, object]:
     """Load a stored history manifest with its records attached.
 
-    Version-2/3 manifests hold no inline records; this reads the referenced
-    prefix of the columnar sidecars and attaches it under ``"records"`` —
-    shaped exactly like the version-1 inline documents — so analysis code
-    keeps a single document shape.  Corrupt or short sidecars raise
+    Manifests hold no inline records; this reads the referenced prefix of
+    the columnar sidecars and attaches it under ``"records"`` as
+    ``record_to_dict``-shaped dicts.  Corrupt or short sidecars raise
     ``ValueError`` just like a corrupt manifest would.
 
     This is the materializing reader; aggregation that only needs numeric
@@ -439,15 +445,9 @@ def load_history_document(path: str) -> Dict[str, object]:
     with open(path) as handle:
         document = json.load(handle)
     version = document.get("format_version")
-    if version == 1:
-        return document
-    if version not in (2, ResultsStore.FORMAT_VERSION):
+    if version != ResultsStore.FORMAT_VERSION:
         raise ValueError("unsupported results format version: {!r}".format(version))
-    columns_path, payloads_path = _sidecar_paths(path, document)
-    document["records"] = trialstore.read_record_dicts(
-        columns_path, payloads_path, int(document.get("trials", 0)),
-        document.get("payload_blocks"))
-    return document
+    return _attach_records(path, document)
 
 
 def open_history_view(path: str) -> trialstore.ColumnarHistoryView:
@@ -455,13 +455,12 @@ def open_history_view(path: str) -> trialstore.ColumnarHistoryView:
 
     Unlike :func:`load_history_document`, no records are materialized:
     numeric columns come straight off the mmap and payloads decode on
-    demand through the sidecar's block index.  Version-1 documents (inline
-    records) are wrapped behind the same interface.
+    demand through the sidecar's block index.
     """
     with open(path) as handle:
         document = json.load(handle)
     version = document.get("format_version")
-    if version not in (1, 2, ResultsStore.FORMAT_VERSION):
+    if version != ResultsStore.FORMAT_VERSION:
         raise ValueError("unsupported results format version: {!r}".format(version))
     return trialstore.ColumnarHistoryView(path, document)
 
@@ -521,7 +520,7 @@ class SessionCheckpointer:
             "search_overhead_s": session.search_overhead_s,
             "batches_run": session.batches_run,
         }
-        document = {
+        return {
             "format_version": ResultsStore.CHECKPOINT_FORMAT_VERSION,
             "kind": "checkpoint",
             "spec": self.spec.to_dict(),
@@ -532,14 +531,8 @@ class SessionCheckpointer:
             "trial_columns": os.path.basename(columns_path),
             "trial_payloads": os.path.basename(payloads_path),
             "state": encode_state(state),
+            "payload_blocks": writer.blocks,
         }
-        if writer.compressed:
-            document["payload_format"] = trialstore.PAYLOAD_FORMAT_BLOCKS
-            document["payload_blocks"] = writer.blocks
-        else:
-            # a store resumed from a raw (pre-v3) sidecar keeps appending raw.
-            document["payload_format"] = trialstore.PAYLOAD_FORMAT_RAW
-        return document
 
     def save(self) -> str:
         writer = self._trial_writer()
@@ -557,26 +550,20 @@ class SessionCheckpointer:
 def load_checkpoint_file(path: str) -> Dict[str, object]:
     """Load and validate a checkpoint document from *path*.
 
-    For sidecar-backed checkpoints the referenced trial-row prefix is read
-    and attached under ``"records"`` (the version-1 inline shape), so
-    corruption anywhere — manifest *or* sidecars — surfaces as the
-    ``ValueError`` the store's ``.prev`` fallback machinery expects.
+    The referenced trial-row prefix is read and attached under
+    ``"records"``, so corruption anywhere — manifest *or* sidecars — and
+    any format version other than 3 surface as the ``ValueError`` the
+    store's ``.prev`` fallback machinery expects.
     """
     with open(path) as handle:
         document = json.load(handle)
     if document.get("kind") != "checkpoint":
         raise ValueError("{} is not a session checkpoint".format(path))
     version = document.get("format_version")
-    if version == 1:
-        return document
-    if version not in (2, ResultsStore.CHECKPOINT_FORMAT_VERSION):
+    if version != ResultsStore.CHECKPOINT_FORMAT_VERSION:
         raise ValueError("unsupported checkpoint format version: {!r}".format(
             version))
-    columns_path, payloads_path = _sidecar_paths(path, document)
-    document["records"] = trialstore.read_record_dicts(
-        columns_path, payloads_path, int(document.get("trials", 0)),
-        document.get("payload_blocks"))
-    return document
+    return _attach_records(path, document)
 
 
 def restore_search_session(document: Dict[str, object], session) -> None:
@@ -592,7 +579,7 @@ def restore_search_session(document: Dict[str, object], session) -> None:
     if session.history:
         raise ValueError("can only restore a checkpoint into a fresh session")
     space = session.backend.space
-    for entry in document.get("records", []):
+    for entry in document["records"]:
         session.history.add(record_from_dict(entry, space))
     state = decode_state(document["state"])
     session.algorithm.import_state(state["algorithm"])

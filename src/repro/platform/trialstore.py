@@ -12,23 +12,16 @@ Each row carries the byte offset and length of its payload line *in the
 uncompressed payload stream*, so both files support random access and
 prefix truncation.
 
-The payload sidecar has two on-disk forms:
-
-* **raw** (format v2) — the JSON lines stored verbatim; row offsets are
-  file offsets.
-* **block-compressed** (format v3) — the same line stream cut at line
-  boundaries into zlib-compressed blocks, each framed by a small header
-  (:data:`BLOCK_MAGIC`, compressed size, raw size) behind a file-level
-  magic header.  Row offsets stay *logical* (uncompressed-stream) offsets;
-  the block index maps logical ranges to physical frames.  The index
-  travels in the JSON manifest (``payload_blocks``) so readers seek
-  without scanning, and is recoverable from the frames alone
-  (:func:`scan_payload_blocks`) so the writer needs no manifest.
-
-New sidecars are written block-compressed; an existing raw sidecar keeps
-appending raw (the format is sticky per store), so older manifests —
-including the rolling ``.prev`` fallback — always reference byte ranges in
-the format they were written against.
+The payload sidecar is block-compressed (format v3, the only format): the
+line stream is cut at line boundaries into zlib-compressed blocks, each
+framed by a small header (:data:`BLOCK_MAGIC`, compressed size, raw size)
+behind a file-level magic header.  Row offsets are *logical*
+(uncompressed-stream) offsets; the block index maps logical ranges to
+physical frames.  The index travels in the JSON manifest
+(``payload_blocks``) so readers seek without scanning, and is recoverable
+from the frames alone (:func:`scan_payload_blocks`) so the writer needs no
+manifest.  A sidecar without the magic header is rejected with
+``ValueError``; the raw-JSONL sidecars of earlier formats are not read.
 
 Two properties carry the crash-safety story:
 
@@ -38,9 +31,8 @@ Two properties carry the crash-safety story:
   append past the manifest's count is invisible, and the rolling ``.prev``
   manifest fallback of :class:`~repro.platform.results.ResultsStore` keeps
   working unchanged because an older manifest simply references a shorter
-  prefix of the same files — for block-compressed sidecars, a shorter
-  prefix of *whole blocks*, because manifests are only ever written at
-  block boundaries.
+  prefix of the same files — a shorter prefix of *whole blocks*, because
+  manifests are only ever written at block boundaries.
 * **Deterministic bytes** — a trial's row and sidecar line are pure
   functions of the record, and the platform's bit-exact resume invariant
   means every worker (re)computes identical records.  A presumed-dead
@@ -119,10 +111,7 @@ def check_header(header: bytes, path: str) -> None:
                 path, version, itemsize))
 
 
-#: file magic + layout version of a block-compressed payload sidecar.  A raw
-#: (format v2) sidecar is a stream of JSON lines and can never start with
-#: this magic (lines always start with ``{``), so the first 8 bytes of the
-#: file identify its format unambiguously.
+#: file magic + layout version of a block-compressed payload sidecar.
 PAYLOAD_MAGIC = b"REPROPLZ"
 PAYLOAD_LAYOUT_VERSION = 1
 PAYLOAD_HEADER_SIZE = 16  # magic (8) + version (u4) + reserved (u4)
@@ -134,10 +123,6 @@ BLOCK_HEADER_SIZE = 12
 #: target uncompressed bytes per block.  Blocks only split at payload line
 #: boundaries, so a block can run past the target by up to one line.
 DEFAULT_BLOCK_RAW_BYTES = 1 << 18
-
-#: ``payload_format`` manifest values: raw JSON lines vs. compressed blocks.
-PAYLOAD_FORMAT_RAW = 2
-PAYLOAD_FORMAT_BLOCKS = 3
 
 
 def make_payload_header() -> bytes:
@@ -154,12 +139,6 @@ def check_payload_header(header: bytes, path: str) -> None:
         raise ValueError(
             "unsupported payload block layout in {} (version {})".format(
                 path, version))
-
-
-def payload_is_blocked(path: str) -> bool:
-    """Whether *path* is a block-compressed (format v3) payload sidecar."""
-    with open(path, "rb") as handle:
-        return handle.read(len(PAYLOAD_MAGIC)) == PAYLOAD_MAGIC
 
 
 def compress_payload_blocks(
@@ -343,34 +322,12 @@ def open_columns(path: str, count: int) -> np.ndarray:
     return columns
 
 
-class RawPayloadReader:
-    """Random access over a raw (format v2) payload sidecar."""
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-
-    def read(self, offset: int, length: int) -> bytes:
-        if length == 0:
-            return b""
-        with open(self._path, "rb") as handle:
-            handle.seek(offset)
-            blob = handle.read(length)
-        if len(blob) < length:
-            raise ValueError(
-                "{} is shorter than its trial rows reference".format(self._path))
-        return blob
-
-    def read_prefix(self, end: int) -> bytes:
-        return self.read(0, end)
-
-
 class BlockPayloadReader:
-    """Random access over a block-compressed (format v3) payload sidecar.
+    """Random access over a block-compressed payload sidecar.
 
     Offsets are logical (uncompressed-stream) positions — the same offsets
-    trial rows carry regardless of sidecar format.  A small LRU of
-    decompressed blocks makes sequential row iteration decompress each
-    block once.
+    trial rows carry.  A small LRU of decompressed blocks makes sequential
+    row iteration decompress each block once.
     """
 
     _CACHE_BLOCKS = 4
@@ -432,22 +389,19 @@ class BlockPayloadReader:
 
 
 def open_payload_reader(path: str,
-                        blocks: Optional[Sequence[Dict[str, int]]] = None):
-    """The right payload reader for *path*, sniffed from its first bytes.
+                        blocks: Optional[Sequence[Dict[str, int]]] = None
+                        ) -> BlockPayloadReader:
+    """A reader over the block-compressed sidecar at *path*.
 
-    *blocks* is the manifest-carried index for a compressed sidecar; when
-    absent it is recovered by :func:`scan_payload_blocks`.  A manifest that
-    claims blocks over a raw file is corrupt and raises ``ValueError``.
+    *blocks* is the manifest-carried index; when absent it is recovered by
+    :func:`scan_payload_blocks`.  A file without the sidecar header raises
+    ``ValueError``.
     """
-    if payload_is_blocked(path):
-        if blocks is None:
-            blocks = scan_payload_blocks(path)
-        return BlockPayloadReader(path, blocks)
-    if blocks:
-        raise ValueError(
-            "{} is not a block-compressed payload sidecar but its manifest "
-            "carries a block index".format(path))
-    return RawPayloadReader(path)
+    with open(path, "rb") as handle:
+        check_payload_header(handle.read(PAYLOAD_HEADER_SIZE), path)
+    if blocks is None:
+        blocks = scan_payload_blocks(path)
+    return BlockPayloadReader(path, blocks)
 
 
 def read_payloads(path: str, columns: np.ndarray,
@@ -473,44 +427,6 @@ def read_record_dicts(columns_path: str, payloads_path: str, count: int,
     return [row_to_dict(row, payload) for row, payload in zip(columns, payloads)]
 
 
-_STAGE_CODES_BY_VALUE = {stage.value: code
-                         for code, stage in enumerate(FAILURE_STAGES)}
-
-
-def rows_from_record_dicts(entries: Sequence[Dict[str, object]]) -> np.ndarray:
-    """Synthesize ``TRIAL_DTYPE`` rows from ``record_to_dict``-shaped dicts.
-
-    This is the compatibility shim that lets :class:`ColumnarHistoryView`
-    serve numeric columns over a format-v1 document that inlined its
-    records; payload offsets are zeroed because inline records keep their
-    payloads in the dicts themselves.
-    """
-    rows = np.empty(len(entries), dtype=TRIAL_DTYPE)
-    nan = float("nan")
-    for position, entry in enumerate(entries):
-        objective = entry.get("objective")
-        metric = entry.get("metric_value")
-        memory = entry.get("memory_mb")
-        rows[position] = (
-            int(entry.get("index", position)),
-            nan if objective is None else float(objective),
-            nan if metric is None else float(metric),
-            nan if memory is None else float(memory),
-            float(entry.get("duration_s", 0.0)),
-            float(entry.get("started_at_s", 0.0)),
-            0,
-            0,
-            int(entry.get("worker", 0)),
-            objective is not None,
-            metric is not None,
-            memory is not None,
-            bool(entry.get("crashed", False)),
-            _STAGE_CODES_BY_VALUE.get(str(entry.get("failure_stage", "")), 0),
-            bool(entry.get("build_skipped", False)),
-        )
-    return rows
-
-
 class ColumnarHistoryView:
     """Lazy zero-copy view over one stored history/checkpoint document.
 
@@ -519,22 +435,15 @@ class ColumnarHistoryView:
     column views and never opens the payload sidecar; payload access is
     per-row and on-demand through the sidecar's block index, so decoding
     one configuration from a 10⁵-trial store touches one block, not the
-    whole file.  Format-v1 documents (inline records) are served through
-    synthesized columns, so callers see one interface across all formats.
+    whole file.
     """
 
     def __init__(self, manifest_path: str, document: Dict[str, object]) -> None:
         self._manifest_path = manifest_path
         self._document = document
         self._columns: Optional[np.ndarray] = None
-        self._reader = None
-        self._inline = "trial_columns" not in document
-        if self._inline:
-            self._records = list(document.get("records", []))
-            self._count = len(self._records)
-        else:
-            self._records = None
-            self._count = int(document.get("trials", 0))
+        self._reader: Optional[BlockPayloadReader] = None
+        self._count = int(document.get("trials", 0))
 
     def __len__(self) -> int:
         return self._count
@@ -559,13 +468,10 @@ class ColumnarHistoryView:
 
     @property
     def columns(self) -> np.ndarray:
-        """The packed ``TRIAL_DTYPE`` rows (zero-copy memmap for v2/v3)."""
+        """The packed ``TRIAL_DTYPE`` rows (a zero-copy memmap)."""
         if self._columns is None:
-            if self._inline:
-                self._columns = rows_from_record_dicts(self._records)
-            else:
-                self._columns = open_columns(
-                    self._sidecar_path("trial_columns"), self._count)
+            self._columns = open_columns(
+                self._sidecar_path("trial_columns"), self._count)
         return self._columns
 
     @property
@@ -601,7 +507,7 @@ class ColumnarHistoryView:
         order = np.argsort(columns["index"], kind="stable")
         return columns["duration_s"][order]
 
-    def _payload_reader(self):
+    def _payload_reader(self) -> BlockPayloadReader:
         if self._reader is None:
             self._reader = open_payload_reader(
                 self._sidecar_path("trial_payloads"),
@@ -610,10 +516,6 @@ class ColumnarHistoryView:
 
     def payload(self, position: int) -> Dict[str, object]:
         """Decode one row's payload (configuration + failure reason)."""
-        if self._inline:
-            entry = self._records[position]
-            return {"configuration": entry.get("configuration", {}),
-                    "failure_reason": entry.get("failure_reason", "")}
         row = self.columns[position]
         line = self._payload_reader().read(
             int(row["payload_offset"]), int(row["payload_length"]))
@@ -621,14 +523,10 @@ class ColumnarHistoryView:
 
     def record_dict(self, position: int) -> Dict[str, object]:
         """One trial as a ``record_to_dict``-shaped dict."""
-        if self._inline:
-            return self._records[position]
         return row_to_dict(self.columns[position], self.payload(position))
 
     def record_dicts(self) -> List[Dict[str, object]]:
-        """All trials as dicts — the materializing path, for compat readers."""
-        if self._inline:
-            return list(self._records)
+        """All trials as dicts — the materializing path."""
         columns = self.columns
         payloads = read_payloads(
             self._sidecar_path("trial_payloads"), columns,
@@ -648,12 +546,11 @@ class TrialStoreWriter:
     ``flush``, then write the manifest carrying the new row count; a crash
     at any instant leaves the manifest pointing at a fully durable prefix.
 
-    The sidecar format is sticky: a fresh (empty) sidecar is written
-    block-compressed (format v3) and every flush frames its payload bytes
-    into whole zlib blocks; an existing raw sidecar keeps appending raw so
-    byte ranges referenced by older manifests — including the rolling
-    ``.prev`` fallback — stay valid verbatim.  For a compressed store,
-    :attr:`blocks` exposes the durable block index for manifest embedding.
+    Every flush frames its payload bytes into whole zlib blocks of the
+    block-compressed sidecar, and :attr:`blocks` exposes the durable block
+    index for manifest embedding.  A store with no durable rows gets a
+    fresh sidecar header whatever a crash left in the file; a sidecar
+    without the header under durable rows raises ``ValueError``.
     """
 
     def __init__(self, columns_path: str, payloads_path: str,
@@ -661,9 +558,22 @@ class TrialStoreWriter:
         self.columns_path = columns_path
         self.payloads_path = payloads_path
         self._block_raw_bytes = int(block_raw_bytes)
+        self.count = 0
+        self._pending: List[TrialRecord] = []
+        self._blocks: List[Dict[str, int]] = []
+        self._payload_offset = 0
+        self._physical_end = PAYLOAD_HEADER_SIZE
         created = not os.path.exists(columns_path)
         self._columns = open(columns_path, "a+b")
         self._payloads = open(payloads_path, "a+b")
+        try:
+            self._recover(created)
+        except BaseException:
+            self.close()
+            raise
+
+    def _recover(self, created: bool) -> None:
+        """Validate both files and drop torn tails; sets the durable state."""
         self._columns.seek(0, os.SEEK_END)
         size = self._columns.tell()
         if size < HEADER_SIZE:
@@ -673,78 +583,42 @@ class TrialStoreWriter:
             size = HEADER_SIZE
         else:
             self._columns.seek(0)
-            check_header(self._columns.read(HEADER_SIZE), columns_path)
+            check_header(self._columns.read(HEADER_SIZE), self.columns_path)
         if created:
-            _fsync_directory(columns_path)
+            _fsync_directory(self.columns_path)
         # a torn append leaves complete rows then a partial one; the floor
         # division drops the partial tail, and every complete row is durable
         # because payloads flush before their columns do.
         self.count = (size - HEADER_SIZE) // TRIAL_DTYPE.itemsize
-        self._pending: List[TrialRecord] = []
-        self._payloads.seek(0, os.SEEK_END)
-        payload_size = self._payloads.tell()
-        self._payloads.seek(0)
-        sniff = self._payloads.read(len(PAYLOAD_MAGIC))
         # drop torn tails now: the files are opened in append mode, so every
         # write lands at EOF — EOF must therefore sit exactly after the last
-        # complete row / its last referenced payload byte (for a compressed
-        # sidecar, after the block holding that byte).
-        if payload_size >= PAYLOAD_HEADER_SIZE and sniff == PAYLOAD_MAGIC:
-            self._compressed = True
-            self._payloads.seek(0)
-            check_payload_header(self._payloads.read(PAYLOAD_HEADER_SIZE),
-                                 payloads_path)
-            self._blocks: List[Dict[str, int]] = scan_payload_blocks(
-                payloads_path)
+        # complete row / the block holding its last referenced payload byte.
+        if self.count == 0:
+            self._payloads.truncate(0)
+            self._payloads.write(make_payload_header())
+            self._payloads.flush()
+        else:
+            self._blocks = scan_payload_blocks(self.payloads_path)
             coverage = 0
             if self._blocks:
                 last = self._blocks[-1]
                 coverage = int(last["raw_offset"]) + int(last["raw_size"])
             # rows referencing past the complete blocks lost their payload
             # to a torn frame; drop them with it.
-            if self.count:
-                columns = open_columns(self.columns_path, self.count)
-                ends = np.asarray(
-                    columns["payload_offset"] + columns["payload_length"],
-                    dtype=np.int64)
-                self.count = int(np.searchsorted(ends, coverage, side="right"))
-            self._columns.truncate(
-                HEADER_SIZE + self.count * TRIAL_DTYPE.itemsize)
+            columns = open_columns(self.columns_path, self.count)
+            ends = np.asarray(
+                columns["payload_offset"] + columns["payload_length"],
+                dtype=np.int64)
+            self.count = int(np.searchsorted(ends, coverage, side="right"))
             self._payload_offset = self._payload_end(self.count)
-            self._physical_end = PAYLOAD_HEADER_SIZE
             self._trim_blocks(self._payload_offset)
-        elif payload_size == 0 and self.count == 0:
-            # a fresh store: block-compressed from byte zero.
-            self._compressed = True
-            self._blocks = []
-            self._columns.truncate(HEADER_SIZE)
-            self._payloads.truncate(0)
-            self._payloads.write(make_payload_header())
-            self._payloads.flush()
-            self._payload_offset = 0
-            self._physical_end = PAYLOAD_HEADER_SIZE
-        else:
-            # an existing raw (format v2) sidecar: appends stay raw.
-            self._compressed = False
-            self._blocks = []
-            self._payload_offset = self._payload_end(self.count)
-            self._columns.truncate(
-                HEADER_SIZE + self.count * TRIAL_DTYPE.itemsize)
-            self._payloads.truncate(self._payload_offset)
-            self._physical_end = self._payload_offset
+        self._columns.truncate(HEADER_SIZE + self.count * TRIAL_DTYPE.itemsize)
         self._columns.seek(0, os.SEEK_END)
         self._payloads.seek(0, os.SEEK_END)
 
     @property
-    def compressed(self) -> bool:
-        """Whether the sidecar is block-compressed (format v3)."""
-        return self._compressed
-
-    @property
-    def blocks(self) -> Optional[List[Dict[str, int]]]:
-        """Durable block index copies for manifest embedding (``None`` raw)."""
-        if not self._compressed:
-            return None
+    def blocks(self) -> List[Dict[str, int]]:
+        """Durable block index copies for manifest embedding."""
         return [dict(block) for block in self._blocks]
 
     def _payload_end(self, count: int) -> int:
@@ -759,11 +633,10 @@ class TrialStoreWriter:
 
         Whole blocks past the target are dropped; a block straddling it is
         split — its surviving prefix re-framed as a fresh block — so the
-        durable stream ends exactly at the last referenced payload byte,
-        mirroring the raw format's truncation semantics.  Only blocks past
-        the last manifest write are ever split (manifests land at flush —
-        hence block — boundaries), so indexes embedded in older manifests
-        keep referencing untouched frames.
+        durable stream ends exactly at the last referenced payload byte.
+        Only blocks past the last manifest write are ever split (manifests
+        land at flush — hence block — boundaries), so indexes embedded in
+        older manifests keep referencing untouched frames.
         """
         kept: List[Dict[str, int]] = []
         covered = 0
@@ -810,11 +683,7 @@ class TrialStoreWriter:
                     count, self.count))
         payload_end = self._payload_end(count)
         self._columns.truncate(HEADER_SIZE + count * TRIAL_DTYPE.itemsize)
-        if self._compressed:
-            self._trim_blocks(payload_end)
-        else:
-            self._payloads.truncate(payload_end)
-            self._physical_end = payload_end
+        self._trim_blocks(payload_end)
         self._columns.seek(0, os.SEEK_END)
         self._payloads.seek(0, os.SEEK_END)
         self.count = count
@@ -832,20 +701,14 @@ class TrialStoreWriter:
         if self._pending:
             columns, payloads = serialize_records(self._pending,
                                                   self._payload_offset)
-            if self._compressed:
-                frames, entries = compress_payload_blocks(
-                    payloads, self._payload_offset, self._physical_end,
-                    self._block_raw_bytes)
-                self._payloads.write(frames)
-                self._payloads.flush()
-                os.fsync(self._payloads.fileno())
-                self._blocks.extend(entries)
-                self._physical_end += len(frames)
-            else:
-                self._payloads.write(payloads)
-                self._payloads.flush()
-                os.fsync(self._payloads.fileno())
-                self._physical_end += len(payloads)
+            frames, entries = compress_payload_blocks(
+                payloads, self._payload_offset, self._physical_end,
+                self._block_raw_bytes)
+            self._payloads.write(frames)
+            self._payloads.flush()
+            os.fsync(self._payloads.fileno())
+            self._blocks.extend(entries)
+            self._physical_end += len(frames)
             self._columns.write(columns)
             self._columns.flush()
             os.fsync(self._columns.fileno())

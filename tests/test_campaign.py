@@ -290,6 +290,17 @@ class TestCampaignRunner:
         # break byte-identical results across process counts
         assert "search_overhead_s" not in first["summary"]
 
+    def test_version_1_manifest_is_rejected(self, tmp_path):
+        CampaignRunner(make_campaign(), str(tmp_path)).run(max_experiments=1)
+        path = os.path.join(str(tmp_path), "campaign.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["format_version"] = 1
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="unsupported campaign manifest"):
+            load_manifest(str(tmp_path))
+
     def test_open_restores_cadence_from_manifest(self, tmp_path):
         CampaignRunner(make_campaign(), str(tmp_path),
                        checkpoint_every=3).run(max_experiments=1)

@@ -165,3 +165,23 @@ class TestJobFile:
         assert job.iterations == 250
         assert job.workers == 1
         assert job.batch_size == 1
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("iterations", True, "iterations"),
+        ("workers", 2.7, "workers"),
+        ("seed", "abc", "seed"),
+        ("batch_size", "8", "batch_size"),
+        ("time_budget_s", "1h", "time_budget_s"),
+        ("os", 5, "os_name"),
+        ("frozen", ["a"], "frozen"),
+    ])
+    def test_fields_validate_like_the_spec(self, key, value, field):
+        from repro.core.spec import ExperimentSpec
+
+        with pytest.raises(ValueError) as spec_error:
+            ExperimentSpec.from_dict({field: value})
+        with pytest.raises(ValueError) as job_error:
+            JobFile.from_dict({"job": {key: value}, "parameters": []})
+        assert str(job_error.value) == str(spec_error.value)
+        assert str(job_error.value).startswith(
+            "spec field {!r} must be".format(field))

@@ -1,5 +1,6 @@
 """Tests for the JSON results store and session resumption."""
 
+import json
 import os
 
 import pytest
@@ -9,6 +10,8 @@ from repro.platform.metrics import LatencyMetric
 from repro.platform.results import (
     ResultsStore,
     cleanup_stale_tmp_files,
+    load_checkpoint_file,
+    open_history_view,
     record_from_dict,
     record_to_dict,
 )
@@ -92,16 +95,33 @@ class TestResultsStore:
         assert len(lines) == len(history) + 1
         assert "net.core.somaxconn" in lines[0]
 
-    def test_unsupported_version_rejected(self, tmp_path, small_linux_model):
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_unsupported_version_rejected(self, version, tmp_path,
+                                          small_linux_model):
+        # format 3 is the only one read: the inline records of version 1 and
+        # the raw sidecars of version 2 are rejected like an unknown version
         store = ResultsStore(str(tmp_path))
         history = self.make_history(small_linux_model, iterations=2)
         path = store.save_history("run", history)
-        with open(path) as handle:
-            text = handle.read()
-        with open(path, "w") as handle:
-            handle.write(text.replace('"format_version": 3', '"format_version": 99'))
-        with pytest.raises(ValueError):
+        _set_format_version(path, version)
+        with pytest.raises(ValueError, match="unsupported results format"):
             store.load_history("run", small_linux_model.space)
+        with pytest.raises(ValueError, match="unsupported results format"):
+            open_history_view(path)
+        TestCrashSafety()._checkpointed_store(tmp_path)
+        checkpoint = store.checkpoint_path("crash")
+        _set_format_version(checkpoint, version)
+        with pytest.raises(ValueError, match="unsupported checkpoint format"):
+            load_checkpoint_file(checkpoint)
+
+
+def _set_format_version(path, version):
+    """Rewrite the ``format_version`` of the JSON document at *path*."""
+    with open(path) as handle:
+        document = json.load(handle)
+    document["format_version"] = version
+    with open(path, "w") as handle:
+        handle.write(json.dumps(document, indent=2) + "\n")
 
 
 class TestCrashSafety:
@@ -158,8 +178,6 @@ class TestCrashSafety:
         # survives as the rolling backup — and is itself loadable
         backup = store.checkpoint_backup_path("crash")
         assert os.path.exists(backup)
-        from repro.platform.results import load_checkpoint_file
-
         assert load_checkpoint_file(backup)["kind"] == "checkpoint"
 
     def test_truncated_checkpoint_falls_back_to_backup(self, tmp_path):
@@ -173,8 +191,6 @@ class TestCrashSafety:
         assert recovered == path
         # the backup was promoted in place of the torn file, which was set
         # aside for forensics rather than silently deleted
-        from repro.platform.results import load_checkpoint_file
-
         assert load_checkpoint_file(recovered)["kind"] == "checkpoint"
         corrupt = os.path.join(str(tmp_path),
                                "crash" + store.CHECKPOINT_CORRUPT_SUFFIX)
@@ -188,6 +204,17 @@ class TestCrashSafety:
             with open(path, "w") as handle:
                 handle.write("{\"kind\": \"checkpo")
         assert store.latest_valid_checkpoint("crash") is None
+
+    def test_legacy_checkpoints_are_set_aside(self, tmp_path):
+        store = self._checkpointed_store(tmp_path)
+        for path in (store.checkpoint_path("crash"),
+                     store.checkpoint_backup_path("crash")):
+            _set_format_version(path, 2)
+        assert store.latest_valid_checkpoint("crash") is None
+        assert os.path.exists(os.path.join(
+            str(tmp_path), "crash" + store.CHECKPOINT_CORRUPT_SUFFIX))
+        assert not os.path.exists(store.checkpoint_path("crash"))
+        assert not os.path.exists(store.checkpoint_backup_path("crash"))
 
     def test_no_checkpoint_is_not_an_error(self, tmp_path):
         store = ResultsStore(str(tmp_path))

@@ -1,29 +1,35 @@
-"""Backward-compat pinning across history storage format versions.
+"""Golden-file pinning of the format-v3 store and the reports built on it.
 
-The streaming report tier must be invisible at the output layer: a campaign
-stored as version-1 inline documents, version-2 raw-sidecar manifests, or
-version-3 block-compressed manifests has to produce *byte-identical* report
-text and JSON.  These tests generate the legacy forms by downgrading a real
-version-3 campaign in place, so every format variant describes the exact
-same trials.
+A campaign stored in the columnar format (block-compressed payload sidecar,
+format version 3) must keep producing byte-identical report text and JSON.
+The expected bytes are committed under ``tests/data/``; any change to trial
+rows, sidecar frames, the readers or the aggregation that moves a single
+byte of the report fails here.  Regenerate the files only for a deliberate
+report change, and say so in the change that does it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import pytest
 
-from repro.platform import trialstore
 from repro.platform.results import (
     ResultsStore,
     load_history_document,
     open_history_view,
 )
 
+from tests.oracles import per_iteration_cost_series_reference
 from tests.test_campaign import make_campaign
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _golden(name):
+    with open(os.path.join(DATA, name)) as handle:
+        return handle.read()
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +37,7 @@ def v3_dir(tmp_path_factory):
     """A complete campaign stored in the current (version 3) format."""
     from repro.platform.campaign_runner import CampaignRunner
 
-    directory = str(tmp_path_factory.mktemp("compat-v3"))
+    directory = str(tmp_path_factory.mktemp("golden-v3"))
     result = CampaignRunner(make_campaign(), directory, procs=1).run()
     assert result.ok
     return directory
@@ -42,142 +48,45 @@ def _history_names(directory):
     return [name for name in names if name != "campaign"]
 
 
-def _raw_payload_bytes(directory, name):
-    """The uncompressed logical payload stream of a stored history."""
-    store = ResultsStore(directory)
-    with open(store.history_path(name)) as handle:
-        document = json.load(handle)
-    _, payloads_path = store.history_trial_paths(name)
-    blocks = document.get("payload_blocks") or []
-    end = blocks[-1]["raw_offset"] + blocks[-1]["raw_size"] if blocks else 0
-    reader = trialstore.open_payload_reader(payloads_path, blocks)
-    return document, reader.read_prefix(end)
-
-
-def downgrade_to_v2(directory, name):
-    """Rewrite one stored history as a version-2 raw-sidecar manifest."""
-    store = ResultsStore(directory)
-    document, raw = _raw_payload_bytes(directory, name)
-    _, payloads_path = store.history_trial_paths(name)
-    with open(payloads_path, "wb") as handle:
-        handle.write(raw)
-    document["format_version"] = 2
-    document.pop("payload_format", None)
-    document.pop("payload_blocks", None)
-    with open(store.history_path(name), "w") as handle:
-        handle.write(json.dumps(document, indent=2) + "\n")
-
-
-def downgrade_to_v1(directory, name):
-    """Rewrite one stored history as a version-1 inline-records document."""
-    store = ResultsStore(directory)
-    document = load_history_document(store.history_path(name))
-    document["format_version"] = 1
-    for key in ("trial_columns", "trial_payloads", "payload_format",
-                "payload_blocks", "trials"):
-        document.pop(key, None)
-    with open(store.history_path(name), "w") as handle:
-        handle.write(json.dumps(document, indent=2) + "\n")
-    for sidecar in store.history_trial_paths(name):
-        os.remove(sidecar)
-
-
-@pytest.fixture(scope="module")
-def v2_dir(v3_dir, tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("compat-v2") / "campaign")
-    shutil.copytree(v3_dir, directory)
-    for name in _history_names(directory):
-        downgrade_to_v2(directory, name)
-    return directory
-
-@pytest.fixture(scope="module")
-def v1_dir(v3_dir, tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("compat-v1") / "campaign")
-    shutil.copytree(v3_dir, directory)
-    for name in _history_names(directory):
-        downgrade_to_v1(directory, name)
-    return directory
-
-
 class TestDocumentEquivalence:
-    """Every format version materializes the identical document."""
+    """The lazy view and the materializing loader agree on v3 stores."""
 
-    def test_fixtures_are_the_claimed_formats(self, v1_dir, v2_dir, v3_dir):
-        store = ResultsStore(v3_dir)
-        for directory, version in ((v1_dir, 1), (v2_dir, 2), (v3_dir, 3)):
-            for name in _history_names(directory):
-                path = os.path.join(directory, name + ".json")
-                with open(path) as handle:
-                    assert json.load(handle)["format_version"] == version
-        # and the v2 sidecar really is raw JSONL, not a compressed copy
-        name = _history_names(v2_dir)[0]
-        _, payloads = ResultsStore(v2_dir).history_trial_paths(name)
-        assert not trialstore.payload_is_blocked(payloads)
-        _, payloads = store.history_trial_paths(name)
-        assert trialstore.payload_is_blocked(payloads)
-
-    def test_loader_is_format_blind(self, v1_dir, v2_dir, v3_dir):
+    def test_fixtures_are_the_claimed_formats(self, v3_dir):
         for name in _history_names(v3_dir):
-            reference = load_history_document(
-                os.path.join(v3_dir, name + ".json"))
-            for directory in (v1_dir, v2_dir):
-                document = load_history_document(
-                    os.path.join(directory, name + ".json"))
-                assert document["records"] == reference["records"]
-                assert document["summary"] == reference["summary"]
-                assert document["metadata"] == reference["metadata"]
+            with open(os.path.join(v3_dir, name + ".json")) as handle:
+                assert json.load(handle)["format_version"] == 3
 
-    def test_view_matches_materializing_loader(self, v1_dir, v2_dir, v3_dir):
-        for directory in (v1_dir, v2_dir, v3_dir):
-            for name in _history_names(directory):
-                path = os.path.join(directory, name + ".json")
-                reference = load_history_document(path)
-                view = open_history_view(path)
-                assert len(view) == len(reference["records"])
-                assert view.record_dicts() == reference["records"]
-                for position, entry in enumerate(reference["records"]):
-                    assert view.record_dict(position) == entry
-
-    def test_view_columns_agree_across_formats(self, v1_dir, v3_dir):
+    def test_view_matches_materializing_loader(self, v3_dir):
         for name in _history_names(v3_dir):
-            inline = open_history_view(os.path.join(v1_dir, name + ".json"))
-            columnar = open_history_view(os.path.join(v3_dir, name + ".json"))
-            mask = columnar.has_objective
-            assert inline.has_objective.tolist() == mask.tolist()
-            # NaN backs the no-objective rows, so compare under the mask
-            assert inline.objective[mask].tolist() == \
-                columnar.objective[mask].tolist()
-            assert inline.cost.tolist() == columnar.cost.tolist()
-            assert inline.iteration.tolist() == columnar.iteration.tolist()
-            assert inline.worker.tolist() == columnar.worker.tolist()
-            assert inline.crashed.tolist() == columnar.crashed.tolist()
+            path = os.path.join(v3_dir, name + ".json")
+            reference = load_history_document(path)
+            view = open_history_view(path)
+            assert len(view) == len(reference["records"])
+            assert view.record_dicts() == reference["records"]
+            for position, entry in enumerate(reference["records"]):
+                assert view.record_dict(position) == entry
 
 
 class TestReportEquivalence:
-    """Reports over any format version are byte-identical."""
+    """The report over a v3 campaign matches the committed bytes."""
 
-    def test_report_json_is_byte_identical(self, v1_dir, v2_dir, v3_dir):
+    def test_report_json_is_byte_identical(self, v3_dir):
         from repro.analysis.campaign_report import campaign_report_document
 
-        reference = json.dumps(campaign_report_document(v3_dir),
-                               indent=2, sort_keys=True)
-        for directory in (v1_dir, v2_dir):
-            document = json.dumps(campaign_report_document(directory),
-                                  indent=2, sort_keys=True)
-            assert document == reference
+        document = json.dumps(campaign_report_document(v3_dir),
+                              indent=2, sort_keys=True)
+        assert document == _golden("campaign_report.json")
 
-    def test_report_text_is_byte_identical(self, v1_dir, v2_dir, v3_dir):
+    def test_report_text_is_byte_identical(self, v3_dir):
         from repro.analysis.campaign_report import render_campaign_report
 
-        reference = render_campaign_report(v3_dir, max_points=8)
-        for directory in (v1_dir, v2_dir):
-            assert render_campaign_report(directory, max_points=8) == reference
+        assert render_campaign_report(v3_dir, max_points=8) == \
+            _golden("campaign_report.txt")
 
     def test_streaming_series_matches_reference_path(self, v3_dir):
         from repro.analysis.campaign_report import (
             load_campaign,
             per_iteration_cost_series,
-            per_iteration_cost_series_reference,
         )
 
         results = load_campaign(v3_dir)

@@ -261,7 +261,7 @@ class TestManifestFallback:
 
 
 class TestCompressedSidecar:
-    """Format-v3 specifics: block frames, sticky formats, torn-tail recovery."""
+    """Format-v3 specifics: block frames, torn-header and torn-tail recovery."""
 
     def _records(self, small_space, n, seed=13):
         rng = random.Random(seed)
@@ -274,11 +274,9 @@ class TestCompressedSidecar:
     def test_fresh_writer_creates_a_blocked_sidecar(self, tmp_path, small_space):
         columns_path, payloads_path = self._paths(tmp_path)
         with TrialStoreWriter(columns_path, payloads_path) as writer:
-            assert writer.compressed
             writer.extend(self._records(small_space, 6))
             writer.flush()
             blocks = writer.blocks
-        assert trialstore.payload_is_blocked(payloads_path)
         with open(payloads_path, "rb") as handle:
             assert handle.read(8) == trialstore.PAYLOAD_MAGIC
         assert blocks == trialstore.scan_payload_blocks(payloads_path)
@@ -288,28 +286,47 @@ class TestCompressedSidecar:
             assert after["raw_offset"] == \
                 before["raw_offset"] + before["raw_size"]
 
-    def test_legacy_raw_sidecar_stays_raw_on_append(self, tmp_path,
-                                                    small_space):
+    def test_torn_sidecar_header_reinitializes_compressed(self, tmp_path,
+                                                          small_space):
         records = self._records(small_space, 10)
+        columns_path, payloads_path = self._paths(tmp_path, "torn-header")
+        # a crash while creating the store: empty columns, 7 of the 8 magic
+        # bytes of the sidecar header
+        open(columns_path, "wb").close()
+        with open(payloads_path, "wb") as handle:
+            handle.write(trialstore.PAYLOAD_MAGIC[:7])
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            assert writer.count == 0
+            assert writer.blocks == []
+            writer.extend(records)
+            writer.flush()
+            blocks = writer.blocks
+        with open(payloads_path, "rb") as handle:
+            assert handle.read(8) == trialstore.PAYLOAD_MAGIC
+        assert blocks == trialstore.scan_payload_blocks(payloads_path)
+        # JSON-bytes comparison: NaN objectives defeat float equality
+        assert json.dumps(
+            read_record_dicts(columns_path, payloads_path, 10, blocks),
+            sort_keys=True) \
+            == json.dumps([record_to_dict(r) for r in records],
+                          sort_keys=True)
+
+    def test_headerless_sidecar_under_durable_rows_is_rejected(
+            self, tmp_path, small_space):
         columns_path, payloads_path = self._paths(tmp_path, "raw")
-        # lay down the pre-v3 format by hand: headerless JSONL payloads
-        columns, payloads = trialstore.serialize_records(records[:6])
+        # the raw JSONL sidecar earlier formats wrote: no magic header
+        columns, payloads = trialstore.serialize_records(
+            self._records(small_space, 6))
         with open(columns_path, "wb") as handle:
             handle.write(trialstore.make_header() + columns)
         with open(payloads_path, "wb") as handle:
             handle.write(payloads)
-        with TrialStoreWriter(columns_path, payloads_path) as writer:
-            assert writer.count == 6
-            assert not writer.compressed  # sticky: never upgraded in place
-            assert writer.blocks is None
-            writer.extend(records[6:])
-            writer.flush()
-        assert not trialstore.payload_is_blocked(payloads_path)
-        # JSON-bytes comparison: NaN objectives defeat float equality
-        assert json.dumps(read_record_dicts(columns_path, payloads_path, 10),
-                          sort_keys=True) \
-            == json.dumps([record_to_dict(r) for r in records],
-                          sort_keys=True)
+        with pytest.raises(ValueError):
+            TrialStoreWriter(columns_path, payloads_path)
+        with pytest.raises(ValueError):
+            read_record_dicts(columns_path, payloads_path, 6)
+        with pytest.raises(ValueError):
+            trialstore.open_payload_reader(payloads_path, [])
 
     def test_multi_block_flush_reads_back(self, tmp_path, small_space):
         records = self._records(small_space, 40)
