@@ -14,8 +14,8 @@ from repro.apps.registry import default_bench_tool_for, get_application
 from repro.config.parameter import ParameterKind
 from repro.cozart.debloat import CozartDebloater
 from repro.deeptune.algorithm import DeepTuneSearch
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.metrics import CompositeScoreMetric
-from repro.platform.pipeline import BenchmarkingPipeline
 from repro.platform.runner import SearchSession
 from repro.search.random_search import RandomSearch
 from repro.vm.os_model import linux_os_model
@@ -42,14 +42,14 @@ def run_cooptimization(iterations: int):
         baseline_outcome = simulator.evaluate(debloated.baseline)
         baseline_score = metric.score(baseline_outcome.metric_value,
                                       baseline_outcome.memory_mb)
-        pipeline = BenchmarkingPipeline(simulator, metric)
+        backend = WorkerPoolBackend(simulator, metric)
         if name == "deeptune":
             algorithm = DeepTuneSearch(debloated.reduced_space, seed=21,
                                        favored_kinds=[ParameterKind.RUNTIME])
         else:
             algorithm = RandomSearch(debloated.reduced_space, seed=21,
                                      favored_kinds=[ParameterKind.RUNTIME])
-        result = SearchSession(pipeline, algorithm).run(iterations=iterations)
+        result = SearchSession(backend, algorithm).run(iterations=iterations)
         sessions[name] = {
             "result": result,
             "baseline_score": baseline_score,

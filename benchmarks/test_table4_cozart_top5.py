@@ -16,8 +16,8 @@ from repro.apps.registry import default_bench_tool_for, get_application
 from repro.config.parameter import ParameterKind
 from repro.cozart.debloat import CozartDebloater
 from repro.deeptune.algorithm import DeepTuneSearch
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.metrics import CompositeScoreMetric
-from repro.platform.pipeline import BenchmarkingPipeline
 from repro.platform.runner import SearchSession
 from repro.vm.os_model import linux_os_model
 from repro.vm.simulator import SystemSimulator
@@ -39,10 +39,10 @@ def run_and_rank(iterations: int):
     assert not baseline_outcome.crashed, "the Cozart baseline must boot and run"
     metric.score(baseline_outcome.metric_value, baseline_outcome.memory_mb)
 
-    pipeline = BenchmarkingPipeline(simulator, metric)
+    backend = WorkerPoolBackend(simulator, metric)
     algorithm = DeepTuneSearch(debloated.reduced_space, seed=23,
                                favored_kinds=[ParameterKind.RUNTIME])
-    result = SearchSession(pipeline, algorithm).run(iterations=iterations)
+    result = SearchSession(backend, algorithm).run(iterations=iterations)
 
     successes = result.history.successful_records()
     # Recompute the score over the full result set with a fresh normalizer so

@@ -18,8 +18,8 @@ from repro.apps.registry import default_bench_tool_for, get_application
 from repro.config.parameter import ParameterKind
 from repro.cozart.debloat import CozartDebloater
 from repro.deeptune.algorithm import DeepTuneSearch
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.metrics import CompositeScoreMetric
-from repro.platform.pipeline import BenchmarkingPipeline
 from repro.platform.runner import SearchSession
 from repro.vm.os_model import linux_os_model
 from repro.vm.simulator import SystemSimulator
@@ -50,10 +50,10 @@ def main() -> None:
         baseline.metric_value, baseline.memory_mb))
     metric.score(baseline.metric_value, baseline.memory_mb)
 
-    pipeline = BenchmarkingPipeline(simulator, metric)
+    backend = WorkerPoolBackend(simulator, metric)
     search = DeepTuneSearch(debloated.reduced_space, seed=9,
                             favored_kinds=[ParameterKind.RUNTIME])
-    result = SearchSession(pipeline, search).run(iterations=iterations)
+    result = SearchSession(backend, search).run(iterations=iterations)
 
     top = sorted(result.history.successful_records(),
                  key=lambda record: record.objective, reverse=True)[:5]

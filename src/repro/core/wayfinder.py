@@ -47,7 +47,7 @@ from repro.platform.metrics import (
     ThroughputMetric,
     metric_for_application,
 )
-from repro.platform.executor import make_backend
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.results import (
     ResultsStore,
     SessionCheckpointer,
@@ -177,12 +177,11 @@ class SpecializationSession:
         self.hardware = hardware
         self.simulator = SystemSimulator(os_model, application, bench_tool,
                                          hardware=hardware, seed=spec.seed)
-        # workers=1 wires the historical single-pipeline serial backend;
-        # workers>1 models a fleet of SUT machines sharing the simulator.
-        self.backend = make_backend(self.simulator, metric, workers=spec.workers,
-                                    enable_skip_build=spec.enable_skip_build)
-        self.pipeline = getattr(self.backend, "pipeline",
-                                None) or self.backend.pipelines[0]
+        # One pool worker per SUT machine, all sharing the simulator; the
+        # default workers=1 is the single-machine platform.
+        self.backend = WorkerPoolBackend(self.simulator, metric,
+                                         workers=spec.workers,
+                                         enable_skip_build=spec.enable_skip_build)
         # The default configuration is always benchmarked first: it is the
         # incumbent every specialized configuration is compared against.
         self.session = SearchSession(algorithm=algorithm, metric=metric,

@@ -9,12 +9,7 @@ multi-hour sessions without actually waiting, and exposes the exploration
 history that the search algorithms and the analysis code consume.
 """
 
-from repro.platform.executor import (
-    ExecutionBackend,
-    SerialBackend,
-    WorkerPoolBackend,
-    make_backend,
-)
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.platform.metrics import (
     CompositeScoreMetric,
@@ -38,10 +33,7 @@ __all__ = [
     "metric_for_application",
     "VirtualClock",
     "BenchmarkingPipeline",
-    "ExecutionBackend",
-    "SerialBackend",
     "WorkerPoolBackend",
-    "make_backend",
     "SearchSession",
     "SessionResult",
 ]

@@ -1,50 +1,46 @@
-"""Execution backends: how proposed configurations are evaluated.
+"""Execution backend: how proposed configurations are evaluated.
 
-The search session talks to an :class:`ExecutionBackend` through a
-*completion-event* interface — :meth:`ExecutionBackend.submit` dispatches one
-configuration to an idle system-under-test worker and
-:meth:`ExecutionBackend.next_completion` returns the earliest-finishing
-in-flight trial — and both execution modes are driven through it:
+:class:`WorkerPoolBackend` models a fleet of N system-under-test machines; the
+single-machine platform is the one-worker pool.  Each worker owns a full
+:class:`~repro.platform.pipeline.BenchmarkingPipeline` — its own virtual
+clock and its own skip-build state (a worker can only reuse an image *it* has
+booted) — while all workers share one
+:class:`~repro.vm.simulator.SystemSimulator`.  Sharing the simulator means the
+measurement-noise RNG stream is consumed in dispatch order, so with
+``enable_skip_build=False`` the *outcome* of evaluating a given dispatch
+sequence does not depend on how many workers it was spread across; only the
+time axis does.  With skip-build enabled (the default), image reuse is
+inherently per-worker state — a variant one worker would have reused may be
+cold-built on another — so durations and the build/boot failure masking of
+reused images can legitimately differ between worker counts.
 
-* **batch** mode (:meth:`run_batch`) keeps the historical barrier semantics:
-  a whole batch is dispatched by greedy list scheduling, every worker clock
-  is advanced to the session clock at the batch start, and the batch's
-  records are returned together in submission order.  The implementation
-  sits on top of submit/next_completion but is bit-identical to the
-  pre-event-loop engine (same dispatch order, same RNG consumption, same
-  timestamps).
+The search session talks to the pool through a *completion-event*
+interface — :meth:`WorkerPoolBackend.submit` dispatches one configuration to
+an idle worker and :meth:`WorkerPoolBackend.next_completion` returns the
+earliest-finishing in-flight trial — and both execution modes are driven
+through it:
+
+* **batch** mode (:meth:`WorkerPoolBackend.run_batch`) keeps barrier
+  semantics: a whole batch is dispatched by greedy list scheduling, every
+  worker clock is advanced to the session clock at the batch start, and the
+  batch's records are returned together in submission order.
 * **async** mode never forms a barrier: the session submits one proposal per
   idle worker and pops completions one at a time, so per-worker clocks
   advance independently and a fast worker never idles behind a straggler.
 
-Two backends are provided:
-
-* :class:`SerialBackend` drives a single
-  :class:`~repro.platform.pipeline.BenchmarkingPipeline` one configuration at
-  a time — the platform's historical behaviour, kept bit-identical so that a
-  ``workers=1, batch_size=1`` session reproduces the sequential loop trial
-  for trial.
-* :class:`WorkerPoolBackend` models a fleet of N system-under-test machines.
-  Each worker owns a full :class:`BenchmarkingPipeline` — its own virtual
-  clock and its own skip-build state (a worker can only reuse an image *it*
-  has booted) — while all workers share one
-  :class:`~repro.vm.simulator.SystemSimulator`.  Sharing the simulator means
-  the measurement-noise RNG stream is consumed in dispatch order, so with
-  ``enable_skip_build=False`` the *outcome* of evaluating a given dispatch
-  sequence does not depend on how many workers it was spread across; only
-  the time axis does.  With skip-build enabled (the default), image reuse
-  is inherently per-worker state — a variant the serial pipeline would have
-  reused may be cold-built on a different worker — so durations and the
-  build/boot failure masking of reused images can legitimately differ
-  between worker counts.
+With one worker both modes run trials back to back on a single clock, which
+reproduces the strictly sequential propose→evaluate→observe loop trial for
+trial (asserted by ``tests/test_batch_execution.py`` and
+``tests/test_async_execution.py``).
 
 Because the system under test is simulated, a trial's outcome is computed
-eagerly at :meth:`submit` time (consuming the shared noise RNG in dispatch
-order and advancing the worker's clock past the trial); ``next_completion``
-only decides *when* the session learns the outcome and when the worker
-becomes free again.  In-flight trials are therefore first-class checkpoint
-state: :meth:`export_state` snapshots them so a checkpoint taken at any
-completion event resumes record-for-record identically.
+eagerly at :meth:`~WorkerPoolBackend.submit` time (consuming the shared noise
+RNG in dispatch order and advancing the worker's clock past the trial);
+``next_completion`` only decides *when* the session learns the outcome and
+when the worker becomes free again.  In-flight trials are therefore
+first-class checkpoint state: :meth:`~WorkerPoolBackend.export_state`
+snapshots them so a checkpoint taken at any completion event resumes
+record-for-record identically.
 
 Clock-merge semantics: a trial's timestamps come from the clock of the worker
 it ran on, and the session-level clock is the maximum over all worker clocks.
@@ -56,12 +52,13 @@ is tracked so the idle share of every worker's timeline — and the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.config.space import Configuration
 from repro.platform.history import TrialRecord
 from repro.platform.metrics import Metric
 from repro.platform.pipeline import BenchmarkingPipeline, VirtualClock
+from repro.platform.results import record_from_dict, record_to_dict
 from repro.vm.simulator import SystemSimulator
 
 #: the scheduling policies the execution stack implements — the canonical
@@ -70,216 +67,8 @@ from repro.vm.simulator import SystemSimulator
 EXECUTION_MODES = ("batch", "async")
 
 
-class ExecutionBackend:
-    """Evaluates configurations for a search session via completion events."""
-
-    name = "backend"
-
-    #: number of system-under-test workers the backend models.
-    workers = 1
-
-    @property
-    def space(self):
-        """The configuration space of the system under test."""
-        raise NotImplementedError
-
-    @property
-    def metric(self) -> Metric:
-        raise NotImplementedError
-
-    @property
-    def now_s(self) -> float:
-        """Session-level virtual time (seconds)."""
-        raise NotImplementedError
-
-    @property
-    def trials_run(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def builds_skipped(self) -> int:
-        raise NotImplementedError
-
-    # -- completion-event interface ---------------------------------------------
-    def idle_workers(self) -> List[int]:
-        """Indices of workers with no trial in flight, ascending."""
-        raise NotImplementedError
-
-    def has_idle_worker(self) -> bool:
-        return bool(self.idle_workers())
-
-    @property
-    def in_flight(self) -> int:
-        """Number of submitted trials whose completion has not been popped."""
-        raise NotImplementedError
-
-    def pending_configurations(self) -> List[Configuration]:
-        """Configurations of the in-flight trials, in submission order.
-
-        The session passes these to the algorithm's pending-aware
-        ``propose`` so async proposals dedupe against work already running.
-        """
-        raise NotImplementedError
-
-    def submit(self, configuration: Configuration) -> int:
-        """Dispatch *configuration* to the earliest-clock idle worker.
-
-        Returns the worker index.  Raises :class:`RuntimeError` when no
-        worker is idle — the session must pop a completion first.
-        """
-        raise NotImplementedError
-
-    def next_completion(self) -> TrialRecord:
-        """Pop and return the earliest-finishing in-flight trial.
-
-        Ties on the virtual finish time break toward the lower worker index,
-        matching the greedy list scheduler's tie-breaking so batch mode can
-        be driven through the same interface bit-identically.
-        """
-        raise NotImplementedError
-
-    # -- batch driver -------------------------------------------------------------
-    def run_batch(self, configurations: Sequence[Configuration]) -> List[TrialRecord]:
-        """Evaluate *configurations* as one barrier batch; records in submission order.
-
-        Submission order (not completion order) keeps the observation stream
-        seen by the search algorithm independent of the worker count; the
-        history re-orders by virtual completion time on ingestion
-        (:meth:`ExplorationHistory.add_batch`).
-        """
-        raise NotImplementedError
-
-    # -- accounting ---------------------------------------------------------------
-    @property
-    def worker_busy_s(self) -> List[float]:
-        """Virtual seconds each worker spent evaluating (idle time excluded)."""
-        raise NotImplementedError
-
-    @property
-    def worker_utilization(self) -> List[float]:
-        """Busy fraction of each worker's session timeline (virtual time).
-
-        Deterministic — it is derived entirely from virtual clocks — so it is
-        safe to store in byte-equality-pinned summaries.  An empty session
-        reports full utilization (no timeline to have idled on).
-        """
-        elapsed = self.now_s
-        if elapsed <= 0.0:
-            return [1.0] * self.workers
-        return [busy / elapsed for busy in self.worker_busy_s]
-
-    def export_state(self) -> dict:
-        """Snapshot worker clocks, skip-build state, in-flight trials, and the
-        simulator RNG."""
-        raise NotImplementedError
-
-    def import_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        raise NotImplementedError
-
-
-def _record_to_dict(record: TrialRecord) -> dict:
-    # Imported here to keep the module importable without the results layer
-    # (which imports nothing from this module, so no cycle either way).
-    from repro.platform.results import record_to_dict
-
-    return record_to_dict(record)
-
-
-def _record_from_dict(entry: dict, space) -> TrialRecord:
-    from repro.platform.results import record_from_dict
-
-    return record_from_dict(entry, space)
-
-
-class SerialBackend(ExecutionBackend):
-    """One system under test, evaluated strictly sequentially."""
-
-    name = "serial"
-    workers = 1
-
-    def __init__(self, pipeline: BenchmarkingPipeline) -> None:
-        self.pipeline = pipeline
-        self._in_flight: List[TrialRecord] = []
-        self._busy_s = 0.0
-
-    @property
-    def space(self):
-        return self.pipeline.space
-
-    @property
-    def metric(self) -> Metric:
-        return self.pipeline.metric
-
-    @property
-    def now_s(self) -> float:
-        return self.pipeline.clock.now_s
-
-    @property
-    def trials_run(self) -> int:
-        return self.pipeline.trials_run
-
-    @property
-    def builds_skipped(self) -> int:
-        return self.pipeline.builds_skipped
-
-    # -- completion events -------------------------------------------------------
-    def idle_workers(self) -> List[int]:
-        return [] if self._in_flight else [0]
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
-
-    def pending_configurations(self) -> List[Configuration]:
-        return [record.configuration for record in self._in_flight]
-
-    def submit(self, configuration: Configuration) -> int:
-        if self._in_flight:
-            raise RuntimeError("the serial backend already has a trial in flight")
-        record = self.pipeline.evaluate(configuration)
-        self._busy_s += record.duration_s
-        self._in_flight.append(record)
-        return 0
-
-    def next_completion(self) -> TrialRecord:
-        if not self._in_flight:
-            raise RuntimeError("no trial in flight")
-        return self._in_flight.pop(0)
-
-    def run_batch(self, configurations: Sequence[Configuration]) -> List[TrialRecord]:
-        records = []
-        for configuration in configurations:
-            self.submit(configuration)
-            records.append(self.next_completion())
-        return records
-
-    # -- accounting / checkpointing ----------------------------------------------
-    @property
-    def worker_busy_s(self) -> List[float]:
-        return [self._busy_s]
-
-    def export_state(self) -> dict:
-        return {
-            "kind": self.name,
-            "simulator": self.pipeline.simulator.export_state(),
-            "pipelines": [self.pipeline.export_state()],
-            "busy_s": [self._busy_s],
-            "in_flight": [_record_to_dict(record) for record in self._in_flight],
-        }
-
-    def import_state(self, state: dict) -> None:
-        if state.get("kind") != self.name or len(state["pipelines"]) != 1:
-            raise ValueError("checkpoint backend state does not match a serial backend")
-        self.pipeline.simulator.import_state(state["simulator"])
-        self.pipeline.import_state(state["pipelines"][0])
-        self._busy_s = float(state.get("busy_s", [0.0])[0])
-        self._in_flight = [_record_from_dict(entry, self.space)
-                           for entry in state.get("in_flight", [])]
-
-
-class WorkerPoolBackend(ExecutionBackend):
-    """A pool of N simulated system-under-test machines.
+class WorkerPoolBackend:
+    """A pool of N simulated system-under-test machines (one by default).
 
     Dispatch is greedy: a submitted configuration goes to the idle worker
     whose clock is earliest, ties broken by worker id, and completions pop
@@ -294,7 +83,7 @@ class WorkerPoolBackend(ExecutionBackend):
     name = "worker-pool"
 
     def __init__(self, simulator: SystemSimulator, metric: Metric,
-                 workers: int = 2, enable_skip_build: bool = True) -> None:
+                 workers: int = 1, enable_skip_build: bool = True) -> None:
         if workers < 1:
             raise ValueError("a worker pool needs at least one worker")
         self.simulator = simulator
@@ -305,8 +94,6 @@ class WorkerPoolBackend(ExecutionBackend):
                                  enable_skip_build=enable_skip_build)
             for _ in range(workers)
         ]
-        #: worker index each trial ran on, parallel to dispatch order.
-        self.assignments: List[int] = []
         #: in-flight trial per busy worker, in submission order (dict order).
         self._in_flight: Dict[int, TrialRecord] = {}
         self._busy_s: List[float] = [0.0] * workers
@@ -320,6 +107,7 @@ class WorkerPoolBackend(ExecutionBackend):
 
     @property
     def space(self):
+        """The configuration space of the system under test."""
         return self.pipelines[0].space
 
     @property
@@ -328,6 +116,7 @@ class WorkerPoolBackend(ExecutionBackend):
 
     @property
     def now_s(self) -> float:
+        """Session-level virtual time: the latest worker clock (seconds)."""
         return max(pipeline.clock.now_s for pipeline in self.pipelines)
 
     @property
@@ -352,17 +141,32 @@ class WorkerPoolBackend(ExecutionBackend):
 
     # -- completion events -------------------------------------------------------
     def idle_workers(self) -> List[int]:
+        """Indices of workers with no trial in flight, ascending."""
         return [index for index in range(self.workers)
                 if index not in self._in_flight]
 
+    def has_idle_worker(self) -> bool:
+        return bool(self.idle_workers())
+
     @property
     def in_flight(self) -> int:
+        """Number of submitted trials whose completion has not been popped."""
         return len(self._in_flight)
 
     def pending_configurations(self) -> List[Configuration]:
+        """Configurations of the in-flight trials, in submission order.
+
+        The session passes these to the algorithm's pending-aware
+        ``propose`` so async proposals dedupe against work already running.
+        """
         return [record.configuration for record in self._in_flight.values()]
 
     def submit(self, configuration: Configuration) -> int:
+        """Dispatch *configuration* to the earliest-clock idle worker.
+
+        Returns the worker index.  Raises :class:`RuntimeError` when no
+        worker is idle — the session must pop a completion first.
+        """
         idle = self.idle_workers()
         if not idle:
             raise RuntimeError("all workers are busy; pop a completion first")
@@ -376,12 +180,17 @@ class WorkerPoolBackend(ExecutionBackend):
             self.pipelines[worker].clock.advance(behind)
         record = self.pipelines[worker].evaluate(configuration)
         record.worker = worker
-        self.assignments.append(worker)
         self._busy_s[worker] += record.duration_s
         self._in_flight[worker] = record
         return worker
 
     def next_completion(self) -> TrialRecord:
+        """Pop and return the earliest-finishing in-flight trial.
+
+        Ties on the virtual finish time break toward the lower worker index,
+        matching the greedy list scheduler's tie-breaking so batch mode is
+        driven through the same interface.
+        """
         if not self._in_flight:
             raise RuntimeError("no trial in flight")
         worker = min(self._in_flight,
@@ -393,6 +202,13 @@ class WorkerPoolBackend(ExecutionBackend):
 
     # -- batch driver -------------------------------------------------------------
     def run_batch(self, configurations: Sequence[Configuration]) -> List[TrialRecord]:
+        """Evaluate *configurations* as one barrier batch; records in submission order.
+
+        Submission order (not completion order) keeps the observation stream
+        seen by the search algorithm independent of the worker count; the
+        history re-orders by virtual completion time on ingestion
+        (:meth:`ExplorationHistory.add_batch`).
+        """
         if self._in_flight:
             raise RuntimeError("cannot form a barrier batch with trials in flight")
         self._sync_to_barrier()
@@ -401,7 +217,7 @@ class WorkerPoolBackend(ExecutionBackend):
             if not self.has_idle_worker():
                 # Free the earliest-finishing worker; its clock is the
                 # minimum over the pool, so submitting to it reproduces the
-                # historical greedy earliest-clock assignment.
+                # greedy earliest-clock assignment.
                 self.next_completion()
             worker = self.submit(configuration)
             records.append(self._in_flight[worker])
@@ -412,21 +228,37 @@ class WorkerPoolBackend(ExecutionBackend):
     # -- accounting / checkpointing ----------------------------------------------
     @property
     def worker_busy_s(self) -> List[float]:
+        """Virtual seconds each worker spent evaluating (idle time excluded)."""
         return list(self._busy_s)
 
+    @property
+    def worker_utilization(self) -> List[float]:
+        """Busy fraction of each worker's session timeline (virtual time).
+
+        Deterministic — it is derived entirely from virtual clocks — so it is
+        safe to store in byte-equality-pinned summaries.  An empty session
+        reports full utilization (no timeline to have idled on).
+        """
+        elapsed = self.now_s
+        if elapsed <= 0.0:
+            return [1.0] * self.workers
+        return [busy / elapsed for busy in self._busy_s]
+
     def export_state(self) -> dict:
+        """Snapshot worker clocks, skip-build state, in-flight trials, and the
+        simulator RNG."""
         return {
             "kind": self.name,
             "simulator": self.simulator.export_state(),
             "pipelines": [pipeline.export_state() for pipeline in self.pipelines],
-            "assignments": list(self.assignments),
             "busy_s": list(self._busy_s),
             "horizon_s": self._horizon_s,
-            "in_flight": [_record_to_dict(record)
+            "in_flight": [record_to_dict(record)
                           for record in self._in_flight.values()],
         }
 
     def import_state(self, state: dict) -> None:
+        """Restore a snapshot produced by :meth:`export_state`."""
         if state.get("kind") != self.name:
             raise ValueError("checkpoint backend state does not match a worker pool")
         if len(state["pipelines"]) != len(self.pipelines):
@@ -436,26 +268,11 @@ class WorkerPoolBackend(ExecutionBackend):
         self.simulator.import_state(state["simulator"])
         for pipeline, pipeline_state in zip(self.pipelines, state["pipelines"]):
             pipeline.import_state(pipeline_state)
-        self.assignments = [int(worker) for worker in state.get("assignments", [])]
-        self._busy_s = [float(busy) for busy in
-                        state.get("busy_s", [0.0] * self.workers)]
-        self._horizon_s = float(state.get("horizon_s", self.now_s))
+        self._busy_s = [float(busy) for busy in state["busy_s"]]
+        self._horizon_s = float(state["horizon_s"])
         self._in_flight = {}
-        for entry in state.get("in_flight", []):
+        for entry in state["in_flight"]:
             # record_to_dict carries the worker assignment, so the record's
             # own field keys the busy-worker map on restore.
-            record = _record_from_dict(entry, self.space)
+            record = record_from_dict(entry, self.space)
             self._in_flight[record.worker] = record
-
-
-def make_backend(simulator: SystemSimulator, metric: Metric, workers: int = 1,
-                 enable_skip_build: bool = True,
-                 clock: Optional[VirtualClock] = None) -> ExecutionBackend:
-    """Build the appropriate backend for *workers* simulated SUT machines."""
-    if workers <= 1:
-        pipeline = BenchmarkingPipeline(simulator, metric,
-                                        clock=clock or VirtualClock(),
-                                        enable_skip_build=enable_skip_build)
-        return SerialBackend(pipeline)
-    return WorkerPoolBackend(simulator, metric, workers=workers,
-                             enable_skip_build=enable_skip_build)

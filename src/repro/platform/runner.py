@@ -5,9 +5,11 @@ A session iterates "select configuration(s) → evaluate → record" until a
 configuration found, how long it took to find it, and the full exploration
 history used by the evaluation figures.
 
-The loop is event-driven on top of the backend's completion-event interface
-(:meth:`ExecutionBackend.submit` / :meth:`ExecutionBackend.next_completion`)
-and supports two execution modes:
+Every session evaluates through a
+:class:`~repro.platform.executor.WorkerPoolBackend`; a one-worker pool is
+the single-machine platform.  The loop is event-driven on top of the pool's
+completion-event interface (:meth:`WorkerPoolBackend.submit` /
+:meth:`WorkerPoolBackend.next_completion`) and supports two execution modes:
 
 * ``batch`` (the default) keeps the historical barrier semantics: each round
   asks the algorithm for up to ``batch_size`` configurations
@@ -47,11 +49,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.config.space import Configuration
-from repro.platform.executor import (
-    EXECUTION_MODES,
-    ExecutionBackend,
-    SerialBackend,
-)
+from repro.platform.executor import EXECUTION_MODES, WorkerPoolBackend
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.platform.lifecycle import (
     IterationBudget,
@@ -60,7 +58,6 @@ from repro.platform.lifecycle import (
     TimeBudget,
 )
 from repro.platform.metrics import Metric
-from repro.platform.pipeline import BenchmarkingPipeline
 from repro.search.base import SearchAlgorithm
 
 
@@ -140,28 +137,20 @@ class SessionResult:
 class SearchSession:
     """Runs one specialization search with a given algorithm and budget."""
 
-    def __init__(self, pipeline: Optional[BenchmarkingPipeline] = None,
-                 algorithm: SearchAlgorithm = None,
+    def __init__(self, backend: WorkerPoolBackend,
+                 algorithm: SearchAlgorithm,
                  metric: Optional[Metric] = None,
                  evaluate_default_first: bool = False,
-                 backend: Optional[ExecutionBackend] = None,
                  batch_size: int = 1,
                  observers: Optional[Sequence[SessionObserver]] = None,
                  favor: Optional[str] = None,
                  execution: str = "batch") -> None:
-        if backend is None:
-            if pipeline is None:
-                raise ValueError("a session needs a pipeline or an execution backend")
-            backend = SerialBackend(pipeline)
-        if algorithm is None:
-            raise ValueError("a session needs a search algorithm")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if execution not in EXECUTION_MODES:
             raise ValueError("unknown execution mode {!r}; expected one of {}".format(
                 execution, ", ".join(EXECUTION_MODES)))
         self.backend = backend
-        self.pipeline = pipeline if pipeline is not None else getattr(backend, "pipeline", None)
         self.algorithm = algorithm
         self.metric = metric or backend.metric
         self.batch_size = batch_size

@@ -78,6 +78,9 @@ def make_handler(service) -> type:
         # keep-alive for the JSON endpoints; event streams opt out.
         protocol_version = "HTTP/1.1"
         server_version = "repro-tuning"
+        # _send_json writes headers and body in two sends; with Nagle on, a
+        # keep-alive client's delayed ACK holds the body back ~40 ms.
+        disable_nagle_algorithm = True
 
         # -- plumbing -------------------------------------------------------
         def log_message(self, format: str, *args: Any) -> None:

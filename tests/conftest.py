@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.registry import default_bench_tool_for, get_application
 from repro.config.parameter import ParameterKind
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.metrics import metric_for_application
 from repro.platform.pipeline import BenchmarkingPipeline, VirtualClock
 from repro.vm.os_model import linux_os_model, unikraft_os_model
@@ -66,6 +67,13 @@ def make_pipeline(os_model, application_name: str, seed: int = 5) -> Benchmarkin
     simulator = make_simulator(os_model, application_name, seed=seed)
     metric = metric_for_application(application_name)
     return BenchmarkingPipeline(simulator, metric, clock=VirtualClock())
+
+
+def make_pool(os_model, application_name: str, seed: int = 5) -> WorkerPoolBackend:
+    """Build a one-worker pool, the single-machine platform, for *application_name*."""
+    simulator = make_simulator(os_model, application_name, seed=seed)
+    metric = metric_for_application(application_name)
+    return WorkerPoolBackend(simulator, metric)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from repro.platform.results import ResultsStore, load_checkpoint_file
 from repro.platform.runner import SearchSession
 from repro.search.registry import available_algorithms, create_algorithm
 
-from tests.conftest import SMALL_SPACE_OPTIONS, make_pipeline
+from tests.conftest import SMALL_SPACE_OPTIONS, make_pipeline, make_pool
 from tests.test_batch_execution import (
     ALGO_OPTIONS,
     _build_algorithm,
@@ -75,7 +75,7 @@ class TestAsyncSequentialEquivalence:
             metric, iterations)
 
         session = SearchSession(
-            make_pipeline(small_linux_model, "nginx"),
+            make_pool(small_linux_model, "nginx"),
             _build_algorithm(name, small_linux_model.space),
             metric, evaluate_default_first=True, execution="async")
         result = session.run(iterations=iterations)

@@ -22,14 +22,14 @@ import pytest
 
 from repro.config.parameter import BoolParameter, ParameterKind
 from repro.config.space import ConfigSpace
-from repro.platform.executor import SerialBackend, WorkerPoolBackend, make_backend
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.history import ExplorationHistory
 from repro.platform.metrics import ThroughputMetric, metric_for_application
 from repro.platform.runner import SearchSession
 from repro.search.base import ConfigurationSampler
 from repro.search.registry import available_algorithms, create_algorithm
 
-from tests.conftest import make_pipeline, make_simulator
+from tests.conftest import make_pipeline, make_pool, make_simulator
 from tests.test_platform import make_record
 
 #: per-algorithm options keeping the model-guided phases cheap but active.
@@ -145,7 +145,7 @@ class TestSequentialEquivalence:
             metric, iterations)
 
         session = SearchSession(
-            make_pipeline(small_linux_model, "nginx"),
+            make_pool(small_linux_model, "nginx"),
             _build_algorithm(name, small_linux_model.space),
             metric, evaluate_default_first=True, batch_size=1)
         result = session.run(iterations=iterations)
@@ -159,8 +159,8 @@ class TestWorkerCountDeterminism:
     def _run(self, name, os_model, workers, batch_size, iterations=12):
         simulator = make_simulator(os_model, "nginx", seed=5)
         metric = metric_for_application("nginx")
-        backend = make_backend(simulator, metric, workers=workers,
-                               enable_skip_build=False)
+        backend = WorkerPoolBackend(simulator, metric, workers=workers,
+                                    enable_skip_build=False)
         session = SearchSession(algorithm=_build_algorithm(name, os_model.space, seed=3),
                                 metric=metric, backend=backend,
                                 evaluate_default_first=True,
@@ -241,15 +241,14 @@ class TestWorkerPoolBackend:
         assert [r.index for r in history] == list(range(4))
         assert set(ordered) == set(records)
 
-    def test_serial_backend_mirrors_pipeline(self, small_linux_model):
-        pipeline = make_pipeline(small_linux_model, "nginx")
-        backend = SerialBackend(pipeline)
+    def test_single_worker_pool_runs_back_to_back(self, small_linux_model):
+        backend = self._pool(small_linux_model, workers=1)
         configurations = self._variants(small_linux_model.space, 2)
         records = backend.run_batch(configurations)
         starts = [r.started_at_s for r in records]
         assert starts == sorted(starts)
         assert records[1].started_at_s == records[0].finished_at_s
-        assert backend.now_s == pipeline.clock.now_s
+        assert backend.now_s == backend.pipelines[0].clock.now_s
         assert backend.workers == 1
 
 
@@ -257,7 +256,7 @@ class TestBatchedSession:
     def _session(self, os_model, workers, batch_size):
         simulator = make_simulator(os_model, "nginx", seed=11)
         metric = metric_for_application("nginx")
-        backend = make_backend(simulator, metric, workers=workers)
+        backend = WorkerPoolBackend(simulator, metric, workers=workers)
         algorithm = _build_algorithm("random", os_model.space, seed=2)
         return SearchSession(algorithm=algorithm, metric=metric, backend=backend,
                              evaluate_default_first=True, batch_size=batch_size)

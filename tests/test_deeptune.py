@@ -170,15 +170,15 @@ class TestScoring:
 
 class TestDeepTuneSearch:
     def run_session(self, small_linux_model, iterations=25, model=None):
-        from tests.conftest import make_pipeline
+        from tests.conftest import make_pool
         from repro.platform.runner import SearchSession
 
-        pipeline = make_pipeline(small_linux_model, "nginx", seed=8)
+        backend = make_pool(small_linux_model, "nginx", seed=8)
         search = DeepTuneSearch(
             small_linux_model.space, seed=8, favored_kinds=[ParameterKind.RUNTIME],
             warmup_iterations=6, candidate_pool_size=48,
             training_steps_per_iteration=10, model=model)
-        session = SearchSession(pipeline, search)
+        session = SearchSession(backend, search)
         return search, session.run(iterations=iterations)
 
     def test_search_improves_over_default(self, small_linux_model):

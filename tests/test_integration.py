@@ -15,8 +15,8 @@ from repro.config.parameter import ParameterKind
 from repro.cozart.debloat import CozartDebloater
 from repro.deeptune.algorithm import DeepTuneSearch
 from repro.deeptune.transfer import transfer_model
+from repro.platform.executor import WorkerPoolBackend
 from repro.platform.metrics import CompositeScoreMetric
-from repro.platform.pipeline import BenchmarkingPipeline, VirtualClock
 from repro.platform.runner import SearchSession
 from repro.vm.simulator import SystemSimulator
 
@@ -96,12 +96,11 @@ class TestCozartSynergy:
         baseline_score = metric.score(baseline_outcome.metric_value,
                                       baseline_outcome.memory_mb)
 
-        pipeline = BenchmarkingPipeline(simulator, metric, clock=VirtualClock())
         search = DeepTuneSearch(debloated.reduced_space, seed=5,
                                 favored_kinds=[ParameterKind.RUNTIME],
                                 warmup_iterations=5, candidate_pool_size=48,
                                 training_steps_per_iteration=10)
-        session = SearchSession(pipeline, search)
+        session = SearchSession(WorkerPoolBackend(simulator, metric), search)
         result = session.run(iterations=30)
         assert result.best_objective is not None
         assert result.best_objective >= baseline_score

@@ -17,7 +17,7 @@ from repro.search.random_search import RandomSearch
 from repro.vm.failures import FailureStage
 from repro.vm.simulator import EvaluationOutcome
 
-from tests.conftest import make_pipeline, make_simulator
+from tests.conftest import make_pipeline, make_pool, make_simulator
 
 
 def make_outcome(configuration, metric_value=100.0, memory=200.0, crashed=False):
@@ -234,28 +234,28 @@ class TestBenchmarkingPipeline:
 
 class TestSearchSession:
     def test_iteration_budget(self, small_linux_model):
-        pipeline = make_pipeline(small_linux_model, "nginx")
+        backend = make_pool(small_linux_model, "nginx")
         algorithm = RandomSearch(small_linux_model.space, seed=4,
                                  favored_kinds=[ParameterKind.RUNTIME])
-        session = SearchSession(pipeline, algorithm)
+        session = SearchSession(backend, algorithm)
         result = session.run(iterations=12)
         assert result.iterations == 12
         assert result.best_objective is not None
         assert result.algorithm_name == "random"
 
     def test_time_budget(self, small_linux_model):
-        pipeline = make_pipeline(small_linux_model, "nginx")
+        backend = make_pool(small_linux_model, "nginx")
         algorithm = RandomSearch(small_linux_model.space, seed=4,
                                  favored_kinds=[ParameterKind.RUNTIME])
-        session = SearchSession(pipeline, algorithm)
+        session = SearchSession(backend, algorithm)
         result = session.run(time_budget_s=2000.0)
         assert result.history.total_elapsed_s() >= 2000.0
         assert result.iterations >= 2
 
     def test_requires_some_budget(self, small_linux_model):
-        pipeline = make_pipeline(small_linux_model, "nginx")
+        backend = make_pool(small_linux_model, "nginx")
         algorithm = RandomSearch(small_linux_model.space, seed=4)
-        session = SearchSession(pipeline, algorithm)
+        session = SearchSession(backend, algorithm)
         with pytest.raises(ValueError):
             session.run()
 
@@ -280,6 +280,8 @@ class TestBackendStateRoundTrip:
     def test_zero_trial_round_trip(self, small_linux_model):
         backend = self._pool(small_linux_model)
         state = backend.export_state()
+        assert set(state) == {"kind", "simulator", "pipelines", "busy_s",
+                              "horizon_s", "in_flight"}
         assert state["in_flight"] == []
         assert state["busy_s"] == [0.0, 0.0]
         restored = self._pool(small_linux_model)
@@ -334,22 +336,16 @@ class TestBackendStateRoundTrip:
         three = self._pool(small_linux_model, workers=3)
         with pytest.raises(ValueError):
             three.import_state(state)
-        from repro.platform.executor import SerialBackend
-
-        serial = SerialBackend(make_pipeline(small_linux_model, "nginx"))
+        one = self._pool(small_linux_model, workers=1)
         with pytest.raises(ValueError):
-            serial.import_state(state)
+            one.import_state(state)
 
-    def test_legacy_state_without_event_fields(self, small_linux_model):
-        """Pre-async checkpoints (no busy/in-flight/horizon keys) still load."""
+    def test_state_without_event_fields_is_rejected(self, small_linux_model):
+        """Every exported state carries the event fields; none is defaulted."""
         backend = self._pool(small_linux_model)
         backend.run_batch(self._variants(small_linux_model.space, 2))
-        state = backend.export_state()
         for key in ("busy_s", "horizon_s", "in_flight"):
+            state = backend.export_state()
             state.pop(key)
-        restored = self._pool(small_linux_model)
-        restored.import_state(state)
-        assert restored.in_flight == 0
-        assert restored.worker_clocks_s == backend.worker_clocks_s
-        # the horizon defaults to the restored session clock
-        assert restored.export_state()["horizon_s"] == backend.now_s
+            with pytest.raises(KeyError):
+                self._pool(small_linux_model).import_state(state)

@@ -16,7 +16,7 @@ from repro.platform.results import (
     record_to_dict,
 )
 
-from tests.conftest import SMALL_SPACE_OPTIONS, make_pipeline
+from tests.conftest import SMALL_SPACE_OPTIONS, make_pool
 from tests.test_platform import make_record
 
 
@@ -51,13 +51,13 @@ class TestRecordSerialization:
 
 class TestResultsStore:
     def make_history(self, small_linux_model, iterations=8):
-        pipeline = make_pipeline(small_linux_model, "nginx")
         from repro.search.random_search import RandomSearch
         from repro.platform.runner import SearchSession
 
         algorithm = RandomSearch(small_linux_model.space, seed=2,
                                  favored_kinds=[ParameterKind.RUNTIME])
-        return SearchSession(pipeline, algorithm).run(iterations=iterations).history
+        return SearchSession(make_pool(small_linux_model, "nginx"),
+                             algorithm).run(iterations=iterations).history
 
     def test_save_list_load(self, tmp_path, small_linux_model):
         history = self.make_history(small_linux_model)
@@ -241,7 +241,7 @@ class TestSessionSummary:
 
         algorithm = RandomSearch(small_linux_model.space, seed=2,
                                  favored_kinds=[ParameterKind.RUNTIME])
-        return SearchSession(make_pipeline(small_linux_model, "nginx"),
+        return SearchSession(make_pool(small_linux_model, "nginx"),
                              algorithm, favor=favor)
 
     def test_summary_records_time_budget_and_favor(self, small_linux_model):

@@ -11,11 +11,13 @@ validation the API surfaces as 400 bodies.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import io
 import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -322,6 +324,27 @@ class TestHttpApi:
         status, body = http_json(base + "/v1/jobs")
         assert [job["job"] for job in body["jobs"]] == ["acme-000000"]
         assert body["jobs"][0]["campaign"] == "l1"
+
+    def test_keep_alive_replies_do_not_stall(self, server):
+        """Headers and body of a reply go out together on a reused connection.
+
+        With Nagle's algorithm on, the body write waits for the client's
+        delayed ACK of the headers, adding ~40 ms to every keep-alive request.
+        """
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"status": "ok"}
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.010
 
 
 class TestRecovery:
