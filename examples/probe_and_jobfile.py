@@ -4,9 +4,10 @@
 This example exercises the §3.4 pipeline: boot a (simulated) VM, list the
 writable files under /proc/sys and /sys, infer each parameter's type and valid
 range by scaling its default value up and down, and write the resulting space
-to a YAML job file that the platform can execute.  It then loads the job file
-back, converts it to the declarative :class:`ExperimentSpec` every front-end
-shares, and runs a short random-search session from that spec.
+to a YAML job file that the platform can execute.  A job file is the
+declarative :class:`ExperimentSpec` every front-end shares (its ``job:``
+block) plus the probed parameters; the example loads it back and runs a
+short random-search session from its spec.
 
 Usage:
     python examples/probe_and_jobfile.py [output.yaml]
@@ -18,6 +19,7 @@ from repro import Wayfinder
 from repro.analysis.reporting import format_table
 from repro.config.jobfile import JobFile, dump_job_file, load_job_file
 from repro.config.space import ConfigSpace
+from repro.core.spec import ExperimentSpec
 from repro.sysctl.probe import SpaceProber
 from repro.sysctl.procfs import ProcFS
 
@@ -38,20 +40,18 @@ def main() -> None:
     # Step 2: turn the probe results into a job file.
     space = ConfigSpace([record.to_parameter() for record in probed],
                         name="probed-runtime-space")
-    job = JobFile(name="nginx-probed", os_name="linux", application="nginx",
-                  bench_tool="wrk", metric="throughput", space=space,
-                  iterations=30, favor_kinds=["runtime"], seed=3,
-                  algorithm="random")
-    dump_job_file(job, output)
+    spec = ExperimentSpec(name="nginx-probed", application="nginx",
+                          metric="throughput", algorithm="random",
+                          favor="runtime", iterations=30, seed=3)
+    dump_job_file(JobFile(spec, space), output)
     print("\nWrote job file to {}".format(output))
 
-    # Step 3: load the job file back, build the one spec every front-end
-    # shares, and run a short session from it.  The platform searches the OS
-    # model's space directly; the job file documents the probed runtime
-    # subset for reproducibility.
+    # Step 3: load the job file back and run a short session from its spec.
+    # The platform searches the OS model's space directly; the job file
+    # documents the probed runtime subset for reproducibility.
     loaded = load_job_file(output)
-    spec = loaded.to_spec()
-    wayfinder = Wayfinder.from_spec(spec)
+    assert loaded.spec == spec
+    wayfinder = Wayfinder.from_spec(loaded.spec)
     probed_names = set(loaded.space.parameter_names())
     overlap = [name for name in probed_names if name in wayfinder.space]
     print("\n{} of the probed parameters exist in the experiment space".format(len(overlap)))

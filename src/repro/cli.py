@@ -26,14 +26,17 @@ the reproduction:
     $ python -m repro.cli campaign run --results campaign-out/ --resume --procs 4
     $ python -m repro.cli campaign report --results campaign-out/
 
-Every front-end — CLI flags, job files, the Python API — builds the same
-declarative :class:`~repro.core.spec.ExperimentSpec`, which the platform
-consumes wholesale.  ``--workers N`` evaluates trials on N simulated
-system-under-test machines in parallel (batches of ``--batch-size`` proposals
-per search round), which compresses the virtual time-to-best.  With
-``--results`` and ``--checkpoint-every`` the run periodically persists a
-resumable checkpoint; ``--resume NAME`` continues an interrupted run from it,
-reproducing the uninterrupted run trial for trial.
+The flags a user gives become a dict of
+:class:`~repro.core.spec.ExperimentSpec` fields; ``run --job`` lays them over
+the job file's ``job:`` block, and :meth:`ExperimentSpec.from_dict` validates
+the result — the same path job files, campaign grid points and the tuning
+service's payloads take, so every surface fails with the same messages
+(printed to stderr with exit code 2).  ``--workers N`` evaluates trials on N
+simulated system-under-test machines in parallel (batches of
+``--batch-size`` proposals per search round), which compresses the virtual
+time-to-best.  With ``--results`` and ``--checkpoint-every`` the run
+periodically persists a resumable checkpoint; ``--resume NAME`` continues an
+interrupted run from it, reproducing the uninterrupted run trial for trial.
 
 ``campaign run`` scales the same machinery to paper-style grids: a YAML
 campaign spec expands into applications x algorithms x seeds (x favor)
@@ -56,12 +59,12 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.reporting import format_table
 from repro.config.jobfile import JobFile, dump_job_file, load_job_file
 from repro.config.space import ConfigSpace
-from repro.core.spec import UNSPECIFIED, ExperimentSpec
+from repro.core.spec import FAVOR_PRESETS, ExperimentSpec
 from repro.core.wayfinder import Wayfinder
 from repro.kconfig.linux import linux_census
 from repro.platform.executor import EXECUTION_MODES
@@ -70,6 +73,13 @@ from repro.platform.results import ResultsStore
 from repro.search.registry import available_algorithms
 from repro.sysctl.probe import SpaceProber
 from repro.sysctl.procfs import ProcFS
+
+
+#: spec fields ``run`` sets when neither flags nor a job file do.
+_RUN_DEFAULTS: Dict[str, Any] = {"iterations": 100}
+
+#: the --favor choices: every preset, plus "none" for explicitly unfavored.
+_FAVOR_CHOICES = sorted(name for name in FAVOR_PRESETS if name) + ["none"]
 
 
 def _positive_int(text: str) -> int:
@@ -110,35 +120,40 @@ def _add_run_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "run", help="run a specialization search for an application/metric")
     parser.add_argument("--job", help="YAML/JSON job file to execute")
-    parser.add_argument("--application", default="nginx",
-                        help="application to specialize for (default: nginx)")
-    parser.add_argument("--metric", default="auto",
-                        help="throughput | latency | memory | score | auto")
-    parser.add_argument("--algorithm", default=None,
-                        choices=available_algorithms(),
+    # Every flag that sets a spec field stores into the field's own name and
+    # defaults to None: only flags the user gave override the job file (or
+    # the spec's defaults), see _flag_fields.
+    parser.add_argument("--application",
+                        help="application to specialize for (default: nginx, "
+                             "or the job file's value)")
+    parser.add_argument("--metric",
+                        help="throughput | latency | memory | score | auto "
+                             "(default: auto, or the job file's value)")
+    parser.add_argument("--algorithm", choices=available_algorithms(),
                         help="search algorithm (default: deeptune, or the "
                              "job file's value)")
-    parser.add_argument("--os", dest="os_name", default="linux",
-                        choices=("linux", "unikraft"))
-    parser.add_argument("--favor", default=None,
-                        choices=("runtime", "boot", "compile", "runtime+boot", "none"),
+    parser.add_argument("--os", dest="os_name", choices=("linux", "unikraft"),
+                        help="target OS (default: linux, or the job file's "
+                             "value)")
+    parser.add_argument("--favor", choices=_FAVOR_CHOICES,
                         help="parameter kinds to concentrate the search on "
                              "(default: runtime on linux, none on unikraft)")
-    parser.add_argument("--iterations", type=_positive_int, default=None,
-                        help="trial budget (default: 100, or the job file's value)")
-    parser.add_argument("--time-budget-s", type=_positive_float, default=None,
+    parser.add_argument("--iterations", type=_positive_int,
+                        help="trial budget (default: {}, or the job file's "
+                             "value)".format(_RUN_DEFAULTS["iterations"]))
+    parser.add_argument("--time-budget-s", type=_positive_float,
                         help="virtual-time budget in simulated seconds")
-    parser.add_argument("--plateau", type=_positive_int, default=None,
+    parser.add_argument("--plateau", dest="plateau_trials", type=_positive_int,
                         help="stop after this many trials without a new incumbent")
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--workers", type=_positive_int, default=None,
+    parser.add_argument("--seed", type=_non_negative_int,
+                        help="random seed (default: 0, or the job file's value)")
+    parser.add_argument("--workers", type=_positive_int,
                         help="simulated SUT machines evaluating in parallel "
                              "(default: 1, or the job file's value)")
-    parser.add_argument("--batch-size", type=_positive_int, default=None,
+    parser.add_argument("--batch-size", type=_positive_int,
                         help="configurations proposed per search round "
                              "(default: 1, or the job file's value)")
-    parser.add_argument("--execution", default=None,
-                        choices=EXECUTION_MODES,
+    parser.add_argument("--execution", choices=EXECUTION_MODES,
                         help="scheduling policy: batch forms a barrier per "
                              "search round, async hands each worker its next "
                              "proposal the moment it finishes a trial "
@@ -154,7 +169,8 @@ def _add_run_parser(subparsers) -> None:
                         help="minimum donor similarity in [0, 1]; donors "
                              "below it are ignored (default: 0.2)")
     parser.add_argument("--results", help="directory to store the exploration history")
-    parser.add_argument("--name", help="name of the stored history (default: derived)")
+    parser.add_argument("--name", help="name of the experiment and its stored "
+                                       "history (default: derived)")
     parser.add_argument("--checkpoint-every", type=_positive_int, default=None,
                         help="persist a resumable checkpoint every N batches "
                              "(requires --results)")
@@ -285,24 +301,21 @@ def _add_serve_parser(subparsers) -> None:
 def _add_compare_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "compare", help="compare search algorithms on one application")
-    parser.add_argument("--application", default="nginx")
-    parser.add_argument("--os", dest="os_name", default="linux",
-                        choices=("linux", "unikraft"))
+    parser.add_argument("--application")
+    parser.add_argument("--os", dest="os_name", choices=("linux", "unikraft"))
     parser.add_argument("--algorithms", nargs="+",
                         default=["random", "bayesian", "deeptune"])
-    parser.add_argument("--favor", default=None,
-                        choices=("runtime", "boot", "compile", "runtime+boot", "none"),
+    parser.add_argument("--favor", choices=_FAVOR_CHOICES,
                         help="parameter kinds to concentrate the search on "
                              "(default: runtime on linux, none on unikraft)")
     parser.add_argument("--iterations", type=_positive_int, default=60)
-    parser.add_argument("--time-budget-s", type=_positive_float, default=None)
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--time-budget-s", type=_positive_float)
+    parser.add_argument("--seed", type=_non_negative_int)
+    parser.add_argument("--workers", type=_positive_int,
                         help="simulated SUT machines evaluating in parallel")
-    parser.add_argument("--batch-size", type=_positive_int, default=1,
+    parser.add_argument("--batch-size", type=_positive_int,
                         help="configurations proposed per search round")
-    parser.add_argument("--execution", default="batch",
-                        choices=EXECUTION_MODES,
+    parser.add_argument("--execution", choices=EXECUTION_MODES,
                         help="scheduling policy for every compared algorithm")
 
 
@@ -320,85 +333,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cli_favor(favor: Optional[str]):
-    """Map the CLI favor flag onto the spec's favor value.
+def _flag_fields(args: argparse.Namespace) -> Dict[str, Any]:
+    """The spec fields set by the flags the user actually gave.
 
-    None means "not specified" (the spec applies the per-OS default:
-    runtime on linux, unfavored on unikraft); the literal "none" means
-    explicitly unfavored.
+    ``--warm-start ZOO`` and ``--warm-start-min-similarity`` together form
+    the ``warm_start`` block.
     """
-    if favor is None:
-        return UNSPECIFIED
-    return None if favor == "none" else favor
-
-
-def _spec_from_flags(os_name: str, application: str, metric: str, algorithm: str,
-                     favor: Optional[str], seed: int, workers: int = 1,
-                     batch_size: int = 1, iterations: Optional[int] = None,
-                     time_budget_s: Optional[float] = None,
-                     plateau_trials: Optional[int] = None,
-                     execution: str = "batch",
-                     warm_start: Optional[dict] = None) -> ExperimentSpec:
-    return ExperimentSpec(os_name=os_name, application=application,
-                          metric=metric, algorithm=algorithm,
-                          favor=_cli_favor(favor), seed=seed, workers=workers,
-                          batch_size=batch_size, execution=execution,
-                          iterations=iterations,
-                          time_budget_s=time_budget_s,
-                          plateau_trials=plateau_trials,
-                          warm_start=warm_start)
-
-
-def _build_wayfinder(os_name: str, application: str, metric: str, algorithm: str,
-                     favor: Optional[str], seed: int, workers: int = 1,
-                     batch_size: int = 1) -> Wayfinder:
-    """Resolve CLI-style settings into a spec and wire a Wayfinder from it."""
-    return Wayfinder.from_spec(_spec_from_flags(
-        os_name, application, metric, algorithm, favor, seed,
-        workers=workers, batch_size=batch_size))
-
-
-def _warm_start_from_args(args: argparse.Namespace) -> Optional[dict]:
-    """The ``warm_start:`` spec block the --warm-start flags describe."""
-    if args.warm_start is None:
-        if args.warm_start_min_similarity is not None:
-            raise SystemExit("--warm-start-min-similarity requires --warm-start")
-        return None
-    warm_start = {"zoo": args.warm_start}
-    if args.warm_start_min_similarity is not None:
-        warm_start["min_similarity"] = args.warm_start_min_similarity
-    return warm_start
+    fields = {field: getattr(args, field) for field in ExperimentSpec.FIELDS
+              if getattr(args, field, None) is not None}
+    similarity = getattr(args, "warm_start_min_similarity", None)
+    if "warm_start" in fields:
+        fields["warm_start"] = {"zoo": fields["warm_start"]}
+        if similarity is not None:
+            fields["warm_start"]["min_similarity"] = similarity
+    elif similarity is not None:
+        raise SystemExit("--warm-start-min-similarity requires --warm-start")
+    return fields
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    """Build the experiment spec a ``run`` invocation describes."""
-    warm_start = _warm_start_from_args(args)
-    if args.job:
-        job = load_job_file(args.job)
-        # explicit CLI flags override the job file's settings
-        overrides = {}
-        for field, value in (("algorithm", args.algorithm),
-                             ("workers", args.workers),
-                             ("batch_size", args.batch_size),
-                             ("execution", args.execution),
-                             ("iterations", args.iterations),
-                             ("time_budget_s", args.time_budget_s),
-                             ("plateau_trials", args.plateau),
-                             ("warm_start", warm_start)):
-            if value is not None:
-                overrides[field] = value
-        return job.to_spec(**overrides)
-    return _spec_from_flags(
-        args.os_name, args.application, args.metric,
-        args.algorithm if args.algorithm is not None else "deeptune",
-        args.favor, args.seed,
-        workers=args.workers if args.workers is not None else 1,
-        batch_size=args.batch_size if args.batch_size is not None else 1,
-        execution=args.execution if args.execution is not None else "batch",
-        iterations=args.iterations if args.iterations is not None else 100,
-        time_budget_s=args.time_budget_s,
-        plateau_trials=args.plateau,
-        warm_start=warm_start)
+    """The experiment spec a ``run`` invocation describes: the flags the user
+    gave, laid over the job file's spec (or the run defaults)."""
+    fields = (load_job_file(args.job).spec.to_dict() if args.job
+              else dict(_RUN_DEFAULTS))
+    fields.update(_flag_fields(args))
+    return ExperimentSpec.from_dict(fields)
 
 
 class _ProgressObserver(SessionObserver):
@@ -447,29 +406,22 @@ def _command_run(args: argparse.Namespace) -> int:
             print("--resume: no checkpoint at {}".format(checkpoint_path),
                   file=sys.stderr)
             return 2
-        # the checkpoint's spec defines the experiment: flags that would
-        # invalidate the restored state are rejected, budget flags extend it.
-        for flag, value in (("--algorithm", args.algorithm),
-                            ("--workers", args.workers),
-                            ("--batch-size", args.batch_size),
-                            ("--execution", args.execution),
-                            ("--warm-start", args.warm_start)):
-            if value is not None:
-                print("--resume: {} cannot be changed on a resumed run "
-                      "(the checkpointed state depends on it)".format(flag),
-                      file=sys.stderr)
-                return 2
+        # the checkpoint's spec defines the experiment: budget flags extend
+        # it, any other spec flag would contradict the restored state.
+        fields = _flag_fields(args)
+        fields.pop("name", None)
+        budget = {field: fields.pop(field) for field in
+                  ("iterations", "time_budget_s", "plateau_trials")
+                  if field in fields}
+        if fields:
+            print("--resume: {} cannot be changed on a resumed run (the "
+                  "checkpointed state depends on it)".format(
+                      ", ".join(sorted(fields))), file=sys.stderr)
+            return 2
         wayfinder = Wayfinder.resume(checkpoint_path)
+        if budget:
+            wayfinder.spec = wayfinder.spec.with_overrides(**budget)
         spec = wayfinder.spec
-        if (args.iterations is not None or args.time_budget_s is not None
-                or args.plateau is not None):
-            wayfinder.spec = spec = spec.with_overrides(
-                iterations=args.iterations if args.iterations is not None
-                else spec.iterations,
-                time_budget_s=args.time_budget_s if args.time_budget_s is not None
-                else spec.time_budget_s,
-                plateau_trials=args.plateau if args.plateau is not None
-                else spec.plateau_trials)
         print("Resuming {} from {} ({} trials done)...".format(
             spec.name, checkpoint_path, len(wayfinder.build_session().session.history)))
         # keep storing under the name the run was checkpointed as
@@ -478,9 +430,17 @@ def _command_run(args: argparse.Namespace) -> int:
             if checkpoint_file.endswith(ResultsStore.CHECKPOINT_SUFFIX) else spec.name
         name = args.name or resumed_name
     else:
-        spec = _spec_from_args(args)
-        wayfinder = Wayfinder.from_spec(spec)
-        name = args.name or spec.name
+        try:
+            spec = _spec_from_args(args)
+            if (spec.iterations is None and spec.time_budget_s is None
+                    and spec.plateau_trials is None):
+                raise ValueError("{} sets no budget; give --iterations, "
+                                 "--time-budget-s or --plateau".format(args.job))
+            wayfinder = Wayfinder.from_spec(spec)
+        except (OSError, ValueError) as error:
+            print(str(error), file=sys.stderr)
+            return 2
+        name = spec.name
 
     wayfinder.add_observer(_ProgressObserver())
     if args.checkpoint_every:
@@ -532,10 +492,10 @@ def _command_probe(args: argparse.Namespace) -> int:
     probed = prober.probe(procfs)
     space = ConfigSpace([record.to_parameter() for record in probed],
                         name="probed-runtime-space")
-    job = JobFile(name="probed-job", os_name="linux", application=args.application,
-                  bench_tool="wrk", metric="throughput", space=space,
-                  favor_kinds=["runtime"])
-    dump_job_file(job, args.output)
+    spec = ExperimentSpec.from_dict(dict(
+        _RUN_DEFAULTS, name="probed-job", application=args.application,
+        metric="throughput"))
+    dump_job_file(JobFile(spec, space), args.output)
     print("Probed {} runtime parameters; job file written to {}".format(
         len(probed), args.output))
     by_type = {}
@@ -569,6 +529,11 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
     retry = (None if args.max_attempts is None
              else RetryPolicy(max_attempts=args.max_attempts))
     lease_s = DEFAULT_LEASE_S if args.lease_s is None else args.lease_s
+    try:
+        campaign = load_campaign_file(args.spec) if args.spec else None
+    except (OSError, ValueError) as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
     manifest_present = os.path.exists(os.path.join(args.results, MANIFEST_NAME))
     if args.resume and manifest_present:
@@ -577,13 +542,12 @@ def _command_campaign_run(args: argparse.Namespace) -> int:
         runner = CampaignRunner.open(args.results, procs=args.procs,
                                      checkpoint_every=args.checkpoint_every,
                                      lease_s=lease_s, retry=retry, chaos=chaos)
-        if args.spec and load_campaign_file(args.spec) != runner.campaign:
+        if campaign is not None and campaign != runner.campaign:
             print("--spec does not match the campaign stored in {}; resume "
                   "without --spec or use a fresh directory".format(
                       args.results), file=sys.stderr)
             return 2
-    elif args.spec:
-        campaign = load_campaign_file(args.spec)
+    elif campaign is not None:
         runner = CampaignRunner(
             campaign, args.results, procs=args.procs,
             checkpoint_every=(1 if args.checkpoint_every is None
@@ -696,26 +660,25 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    fields = _flag_fields(args)
+    try:
+        specs = [ExperimentSpec.from_dict(dict(fields, algorithm=algorithm))
+                 for algorithm in args.algorithms]
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     rows = []
-    for algorithm in args.algorithms:
-        spec = _spec_from_flags(args.os_name, args.application, "auto",
-                                algorithm, args.favor, args.seed,
-                                workers=args.workers,
-                                batch_size=args.batch_size,
-                                execution=args.execution,
-                                iterations=args.iterations,
-                                time_budget_s=args.time_budget_s)
-        wayfinder = Wayfinder.from_spec(spec)
-        result = wayfinder.specialize()
-        rows.append((algorithm,
+    for spec in specs:
+        result = Wayfinder.from_spec(spec).specialize()
+        rows.append((spec.algorithm,
                      "{:.2f}".format(result.best_performance or float("nan")),
                      "{:.2f}x".format(result.improvement_factor or float("nan")),
                      "{:.0%}".format(result.crash_rate),
                      "{:.0f}".format((result.time_to_best_s or 0.0) / 60.0)))
     print(format_table(
         ("algorithm", "best objective", "improvement", "crash rate", "time to best (min)"),
-        rows, title="{} on {}: algorithm comparison".format(args.application,
-                                                            args.os_name)))
+        rows, title="{} on {}: algorithm comparison".format(specs[0].application,
+                                                            specs[0].os_name)))
     return 0
 
 

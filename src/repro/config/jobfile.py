@@ -2,18 +2,19 @@
 
 Wayfinder takes as input "job files" describing the configuration space of
 the target OS, the application and bench tool to run, and the search budget
-(§3.1, §3.4).  The original system uses YAML; this reproduction ships a small
-self-contained YAML-subset reader/writer (mappings, lists, scalars, comments)
-so job files remain human-editable without adding a dependency, plus JSON as
-an alternate format.
+(§3.1, §3.4).  Here a job file is ``{job: <ExperimentSpec dict>,
+parameters: [...]}``; the bench tool follows from the application.  The
+original system uses YAML; this reproduction ships a small self-contained
+YAML-subset reader/writer (mappings, lists, scalars, comments) so job files
+remain human-editable without adding a dependency, plus JSON as an alternate
+format.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import warnings
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.config.parameter import (
     BoolParameter,
@@ -26,6 +27,9 @@ from repro.config.parameter import (
     TristateParameter,
 )
 from repro.config.space import ConfigSpace
+
+if TYPE_CHECKING:
+    from repro.core.spec import ExperimentSpec
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,9 @@ def _render_scalar(value: Any) -> str:
         or text[0] in "-?"
         or any(ch in text for ch in ":#{}[],&*!|>'\"%@`")
         or text.lower() in ("null", "true", "false", "yes", "no", "~")
+        # a newline (or any other control or separator character) would end
+        # the line early and let the rest of the string parse as more YAML.
+        or not text.isprintable()
         # numeric-looking strings ("1.5", "007", "0x1f", "nan") would parse
         # back as numbers; quoting keeps the round trip type-faithful.
         or _looks_numeric(text)
@@ -139,9 +146,14 @@ def _parse_scalar(token: str) -> Any:
 
 def _strip_comment(line: str) -> str:
     in_quote: Optional[str] = None
+    escaped = False
     for index, char in enumerate(line):
         if in_quote:
-            if char == in_quote:
+            if escaped:
+                escaped = False
+            elif char == "\\" and in_quote == '"':
+                escaped = True
+            elif char == in_quote:
                 in_quote = None
         elif char in ("'", '"'):
             in_quote = char
@@ -273,6 +285,8 @@ def load_yaml(text: str) -> Any:
     lines = _prepare_lines(text)
     if not lines:
         return {}
+    if len(lines) == 1 and lines[0][1] in ("{}", "[]"):
+        return _parse_scalar(lines[0][1])
     data, consumed = _parse_block(lines, 0, lines[0][0])
     if consumed != len(lines):
         raise ValueError("trailing content at line: {!r}".format(lines[consumed][1]))
@@ -331,187 +345,56 @@ def parameter_from_dict(data: Dict[str, Any]) -> Parameter:
 class JobFile:
     """A complete description of one exploration job.
 
-    Attributes mirror the fields a user would fill in: the OS and application
-    under test, the bench tool and metric, the budget, frozen parameters, and
-    the configuration space itself.
+    The ``job:`` block is exactly :meth:`ExperimentSpec.to_dict` and is read
+    back by :meth:`ExperimentSpec.from_dict`, so a job file takes the same
+    fields, defaults and error messages as every other front-end.  The
+    ``parameters:`` list documents the configuration space (e.g. the probed
+    runtime subset, §3.4) for reproducibility; the platform itself searches
+    the target OS model's space.
     """
 
-    #: favor_kinds combinations expressible as a spec favor preset.
-    _FAVOR_KIND_PRESETS = {
-        ("runtime",): "runtime",
-        ("boot",): "boot",
-        ("compile",): "compile",
-        ("runtime", "boot"): "runtime+boot",
-        ("boot", "runtime"): "runtime+boot",
-    }
+    SECTIONS = ("job", "parameters")
 
-    #: job-file keys whose spec field carries another name.
-    _SPEC_FIELD_NAMES = {"os": "os_name"}
-
-    def __init__(
-        self,
-        name: str,
-        os_name: str,
-        application: str,
-        bench_tool: str,
-        metric: str,
-        space: ConfigSpace,
-        iterations: int = 250,
-        time_budget_s: Optional[float] = None,
-        favor_kinds: Optional[List[str]] = None,
-        frozen: Optional[Dict[str, Any]] = None,
-        seed: int = 0,
-        workers: int = 1,
-        batch_size: int = 1,
-        execution: str = "batch",
-        algorithm: str = "deeptune",
-        plateau_trials: Optional[int] = None,
-        warm_start: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.name = name
-        self.os_name = os_name
-        self.application = application
-        self.bench_tool = bench_tool
-        self.metric = metric
+    def __init__(self, spec: "ExperimentSpec", space: ConfigSpace) -> None:
+        self.spec = spec
         self.space = space
-        self.iterations = iterations
-        self.time_budget_s = time_budget_s
-        self.favor_kinds = list(favor_kinds or [])
-        self.frozen = dict(frozen or {})
-        self.seed = seed
-        #: simulated system-under-test machines evaluating trials in parallel.
-        self.workers = workers
-        #: configurations proposed per search round.
-        self.batch_size = batch_size
-        #: execution mode: "batch" (barrier rounds) or "async"
-        #: (completion-driven dispatch, no barrier).
-        self.execution = execution
-        #: search algorithm to drive the exploration with.
-        self.algorithm = algorithm
-        #: optional early stop: trials without a new incumbent before giving up.
-        self.plateau_trials = plateau_trials
-        #: optional surrogate-zoo warm start: {"zoo": dir, "min_similarity":
-        #: float, "donor": app} — see repro.deeptune.transfer.
-        self.warm_start = dict(warm_start) if warm_start else None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "job": {
-                "name": self.name,
-                "os": self.os_name,
-                "application": self.application,
-                "bench_tool": self.bench_tool,
-                "metric": self.metric,
-                "iterations": self.iterations,
-                "time_budget_s": self.time_budget_s,
-                "favor_kinds": self.favor_kinds,
-                "frozen": self.frozen,
-                "seed": self.seed,
-                "workers": self.workers,
-                "batch_size": self.batch_size,
-                "execution": self.execution,
-                "algorithm": self.algorithm,
-                "plateau_trials": self.plateau_trials,
-                "warm_start": self.warm_start,
-            },
+            "job": self.spec.to_dict(),
             "parameters": [parameter.to_dict() for parameter in self.space.parameters()],
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobFile":
-        """Rebuild a job from :meth:`to_dict` output.
-
-        Every job key that is also a spec field is validated by
-        :meth:`ExperimentSpec.check_field`, so a bad value fails with the
-        same message it would get in a spec, campaign or HTTP payload.
-        """
-        from repro.core.spec import ExperimentSpec
-
-        job = data.get("job", {})
-        for key, value in job.items():
-            field = cls._SPEC_FIELD_NAMES.get(key, key)
-            if field in ExperimentSpec.FIELD_TYPES:
-                ExperimentSpec.check_field(field, value)
-        parameters = [parameter_from_dict(entry) for entry in data.get("parameters", [])]
-        space = ConfigSpace(parameters, name=job.get("name", "job"))
-        frozen = job.get("frozen") or {}
-        for name, value in frozen.items():
-            if name in space:
-                space.freeze(name, value)
-        return cls(
-            name=job.get("name", "job"),
-            os_name=job.get("os", "linux"),
-            application=job.get("application", "nginx"),
-            bench_tool=job.get("bench_tool", "wrk"),
-            metric=job.get("metric", "throughput"),
-            space=space,
-            iterations=job.get("iterations", 250),
-            time_budget_s=job.get("time_budget_s"),
-            favor_kinds=job.get("favor_kinds") or [],
-            frozen=frozen,
-            seed=job.get("seed", 0),
-            workers=job.get("workers", 1),
-            batch_size=job.get("batch_size", 1),
-            execution=job.get("execution") or "batch",
-            algorithm=job.get("algorithm") or "deeptune",
-            plateau_trials=job.get("plateau_trials"),
-            warm_start=job.get("warm_start"),
-        )
-
-    def to_spec(self, **overrides: Any):
-        """Build the :class:`~repro.core.spec.ExperimentSpec` this job describes.
-
-        The declarative job fields (OS, application, metric, budget, fleet
-        shape, frozen parameters) map one-to-one onto the spec; *overrides*
-        replace individual spec fields, which is how the CLI applies explicit
-        flags on top of a job file.  The job's parameter list itself is not
-        carried over: the platform searches the target OS model's space, and
-        the embedded space documents the probed subset for reproducibility.
-        """
+        """Rebuild a job from :meth:`to_dict` output (unknown keys rejected)."""
         # Imported lazily: the config layer stays importable without the
         # core/search stack.
-        from repro.core.spec import UNSPECIFIED, ExperimentSpec
+        from repro.core.spec import ExperimentSpec
 
-        kinds = tuple(self.favor_kinds)
-        if not kinds:
-            favor: Any = UNSPECIFIED
-        elif kinds in self._FAVOR_KIND_PRESETS:
-            favor = self._FAVOR_KIND_PRESETS[kinds]
-        elif (kinds[0],) in self._FAVOR_KIND_PRESETS:
-            # combination with no exact preset: keep the historical CLI
-            # behaviour of honouring the first kind, but say so.
-            favor = self._FAVOR_KIND_PRESETS[(kinds[0],)]
-            warnings.warn(
-                "favor_kinds {!r} has no exact favor preset; favoring "
-                "{!r} only".format(self.favor_kinds, favor), stacklevel=2)
-        else:
-            raise ValueError(
-                "favor_kinds {!r} has no favor preset equivalent".format(
-                    self.favor_kinds))
-        fields = {
-            "name": self.name,
-            "os_name": self.os_name,
-            "application": self.application,
-            "metric": self.metric,
-            "algorithm": self.algorithm,
-            "favor": favor,
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "time_budget_s": self.time_budget_s,
-            "plateau_trials": self.plateau_trials,
-            "workers": self.workers,
-            "batch_size": self.batch_size,
-            "execution": self.execution,
-            "frozen": dict(self.frozen),
-            "warm_start": dict(self.warm_start) if self.warm_start else None,
-        }
-        fields.update(overrides)
-        return ExperimentSpec(**fields)
+        if not isinstance(data, dict) or "job" not in data:
+            raise ValueError("a job file is a mapping with a 'job:' spec block "
+                             "and a 'parameters:' list")
+        unknown = sorted(set(data) - set(cls.SECTIONS))
+        if unknown:
+            raise ValueError("unknown job file sections: {}".format(", ".join(unknown)))
+        spec = ExperimentSpec.from_dict(data["job"])
+        entries = data.get("parameters") or []
+        if not isinstance(entries, list):
+            raise ValueError("job file 'parameters' must be a list (got {})".format(
+                type(entries).__name__))
+        try:
+            parameters = [parameter_from_dict(entry) for entry in entries]
+        except (KeyError, TypeError) as error:
+            raise ValueError("malformed job file parameter: {!r}".format(error)) from None
+        space = ConfigSpace(parameters, name=spec.name)
+        for name, value in spec.frozen.items():
+            if name in space:
+                space.freeze(name, value)
+        return cls(spec, space)
 
     def __repr__(self) -> str:
-        return "JobFile(name={!r}, os={!r}, app={!r}, metric={!r}, params={})".format(
-            self.name, self.os_name, self.application, self.metric, len(self.space)
-        )
+        return "JobFile(spec={!r}, params={})".format(self.spec, len(self.space))
 
 
 def dump_job_file(job: JobFile, path: str) -> None:
@@ -570,7 +453,7 @@ def load_campaign_file(path: str):
     :mod:`repro.platform.faults`.
     """
     # Imported lazily: the config layer stays importable without the
-    # core/search stack (mirrors JobFile.to_spec).
+    # core/search stack (mirrors JobFile.from_dict).
     from repro.core.campaign import CampaignSpec
 
     _, ext = os.path.splitext(path)

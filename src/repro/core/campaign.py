@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.spec import FAVOR_PRESETS, UNSPECIFIED, ExperimentSpec
+from repro.core.spec import UNSPECIFIED, ExperimentSpec, canonical_favor
 
 #: spec fields a campaign sweeps as axes; they cannot appear in ``base``
 #: (``favor``/``execution`` are special: each is only an axis when the
@@ -34,35 +34,6 @@ _RESERVED_BASE_FIELDS = ("name", "application", "algorithm", "seed")
 
 #: match keys an override rule may constrain.
 _MATCH_KEYS = _AXIS_FIELDS
-
-
-def _normalize_execution(value: Any) -> str:
-    """Validate one value of the ``executions`` axis."""
-    # Imported lazily (mirrors the spec's registry import) so the campaign
-    # layer stays importable without the platform stack; the executor owns
-    # the canonical mode list.
-    from repro.platform.executor import EXECUTION_MODES
-
-    if value not in EXECUTION_MODES:
-        raise ValueError(
-            "unknown execution mode {!r}; expected one of {}".format(
-                value, ", ".join(EXECUTION_MODES)))
-    return str(value)
-
-
-def _normalize_favor(value: Any) -> Any:
-    """Map the file/CLI spelling of a favor onto the spec's value.
-
-    The literal string ``"none"`` (and YAML ``null``) mean "explicitly
-    unfavored"; every other value must be a known preset name.
-    """
-    if value == "none" or value is None:
-        return None
-    if value not in FAVOR_PRESETS:
-        raise ValueError(
-            "unknown favor preset {!r}; expected one of {} or none".format(
-                value, ", ".join(sorted(k for k in FAVOR_PRESETS if k))))
-    return value
 
 
 def _check_axis_list(value: Any, axis: str) -> List[Any]:
@@ -132,16 +103,16 @@ class CampaignSpec:
         if favors is None:
             self.favors = None
         else:
-            self.favors = [_normalize_favor(value) for value in _unique(
-                _check_axis_list(favors, "favors"), "favors")]
+            self.favors = _unique([canonical_favor(value) for value in
+                                   _check_axis_list(favors, "favors")], "favors")
         #: ``None`` means "no execution axis": every experiment uses the
         #: base's execution mode (or the default, batch).  A list sweeps
         #: execution modes — the async-vs-batch comparison as one campaign.
         if executions is None:
             self.executions = None
         else:
-            self.executions = [_normalize_execution(value) for value in _unique(
-                _check_axis_list(executions, "executions"), "executions")]
+            self.executions = _unique(
+                _check_axis_list(executions, "executions"), "executions")
         if base is not None and not isinstance(base, dict):
             raise ValueError(
                 "campaign field 'base' must be an object of spec fields "
@@ -152,24 +123,16 @@ class CampaignSpec:
             raise ValueError(
                 "base cannot set {}: these are campaign axes (or the "
                 "campaign's own name)".format(", ".join(bad)))
-        unknown = sorted(set(self.base) - set(ExperimentSpec.FIELDS))
-        if unknown:
-            raise ValueError("unknown base spec fields: {}".format(
-                ", ".join(unknown)))
-        for field, value in self.base.items():
-            ExperimentSpec.check_field(field, value)
         if "favor" in self.base:
             if self.favors is not None:
                 raise ValueError(
                     "base cannot set favor when the campaign sweeps a "
                     "favors axis")
-            self.base["favor"] = _normalize_favor(self.base["favor"])
-        if "execution" in self.base:
-            if self.executions is not None:
-                raise ValueError(
-                    "base cannot set execution when the campaign sweeps an "
-                    "executions axis")
-            self.base["execution"] = _normalize_execution(self.base["execution"])
+            self.base["favor"] = canonical_favor(self.base["favor"])
+        if "execution" in self.base and self.executions is not None:
+            raise ValueError(
+                "base cannot set execution when the campaign sweeps an "
+                "executions axis")
         if overrides is not None and not isinstance(overrides, (list, tuple)):
             raise ValueError(
                 "campaign field 'overrides' must be a list of override "
@@ -187,7 +150,9 @@ class CampaignSpec:
         self.chaos = validate_chaos(chaos)
         # fail fast: an invalid grid point (bad metric, unknown algorithm,
         # colliding names) should surface when the campaign is built, not
-        # halfway through a multi-hour run.
+        # halfway through a multi-hour run.  Every point is validated by
+        # ExperimentSpec.from_dict, so base and override fields fail with
+        # the same messages as a job file or an HTTP payload.
         self._expanded = self._expand()
 
     def _check_override(self, rule: Dict[str, Any]) -> Dict[str, Any]:
@@ -202,9 +167,7 @@ class CampaignSpec:
             raise ValueError("override can only match on {} (got {})".format(
                 ", ".join(_MATCH_KEYS), ", ".join(unknown)))
         if "favor" in match:
-            match["favor"] = _normalize_favor(match["favor"])
-        if "execution" in match:
-            match["execution"] = _normalize_execution(match["execution"])
+            match["favor"] = canonical_favor(match["favor"])
         # a match value no grid point has would make the rule silently inert
         # for a whole (possibly multi-hour) campaign; fail fast instead.
         axis_values = {"application": self.applications,
@@ -229,12 +192,8 @@ class CampaignSpec:
         bad = sorted(set(patch) & reserved)
         if bad:
             raise ValueError("override cannot set {}".format(", ".join(bad)))
-        unknown = sorted(set(patch) - set(ExperimentSpec.FIELDS))
-        if unknown:
-            raise ValueError("unknown override spec fields: {}".format(
-                ", ".join(unknown)))
         if "favor" in patch:
-            patch["favor"] = _normalize_favor(patch["favor"])
+            patch["favor"] = canonical_favor(patch["favor"])
         return {"match": match, "set": patch}
 
     # -- expansion ---------------------------------------------------------------
@@ -287,7 +246,8 @@ class CampaignSpec:
                                 raise ValueError(
                                     "duplicate experiment name {!r}".format(name))
                             names.add(name)
-                            specs.append(ExperimentSpec(name=name, **fields))
+                            fields["name"] = name
+                            specs.append(ExperimentSpec.from_dict(fields))
         return specs
 
     def expand(self) -> List[ExperimentSpec]:

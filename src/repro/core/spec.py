@@ -3,10 +3,13 @@
 An :class:`ExperimentSpec` is the single description of one specialization
 experiment: which OS and application to specialize, which metric and search
 algorithm to use, the search budget, and how the evaluation fleet is shaped.
-Every front-end builds one — the CLI from its flags, :class:`JobFile` via
-:meth:`JobFile.to_spec`, and the :class:`~repro.core.wayfinder.Wayfinder`
-constructors from their keyword arguments — and the rest of the platform
-consumes only the spec, so a new knob is added in exactly one place.
+Every front-end hands :meth:`ExperimentSpec.from_dict` a plain dict — the CLI
+the flags the user gave, a job file its ``job:`` block, a campaign each grid
+point, the tuning service its JSON payload — so every input surface accepts
+the same fields and fails with the same messages.  The
+:class:`~repro.core.wayfinder.Wayfinder` constructors build one from their
+keyword arguments, and the rest of the platform consumes only the spec, so a
+new knob is added in exactly one place.
 
 The spec is *fully resolved*: OS-dependent defaults (the ``favor`` preset,
 the Unikraft application) are applied at construction, so two specs built
@@ -39,6 +42,12 @@ _KNOWN_OS = ("linux", "unikraft")
 #: sentinel distinguishing "favor not specified" (use the OS default) from an
 #: explicit ``favor=None`` ("do not favor any parameter kind").
 UNSPECIFIED = object()
+
+
+def canonical_favor(favor: Any) -> Any:
+    """The spec's value for *favor*: ``"none"`` is the file and CLI spelling
+    of ``None`` (explicitly unfavored); every other value passes through."""
+    return None if favor == "none" else favor
 
 
 def default_favor(os_name: str) -> Optional[str]:
@@ -115,8 +124,9 @@ class ExperimentSpec:
                 algorithm, ", ".join(available_algorithms())))
         if favor is UNSPECIFIED:
             favor = default_favor(os_name)
+        favor = canonical_favor(favor)
         if favor not in FAVOR_PRESETS:
-            raise ValueError("unknown favor preset {!r}; expected one of {}".format(
+            raise ValueError("unknown favor preset {!r}; expected one of {} or none".format(
                 favor, ", ".join(sorted(k for k in FAVOR_PRESETS if k))))
         if iterations is not None and int(iterations) < 1:
             raise ValueError("iterations must be at least 1 (got {!r})".format(iterations))

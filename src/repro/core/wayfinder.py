@@ -4,9 +4,10 @@
 into a fully wired specialization run: the configuration space of the target
 OS, the simulated system under test, the metric, and a search algorithm.  The
 keyword-argument constructors (:meth:`Wayfinder.for_linux`,
-:meth:`Wayfinder.for_unikraft`) are thin builders producing a spec, exactly
-like the CLI and :meth:`JobFile.to_spec` do — all front-ends meet at the same
-spec object, so equivalent inputs construct identical experiments:
+:meth:`Wayfinder.for_unikraft`) are thin builders producing a spec, just as
+the CLI and job files do through :meth:`ExperimentSpec.from_dict` — all
+front-ends meet at the same spec object, so equivalent inputs construct
+identical experiments:
 
     >>> from repro import Wayfinder
     >>> wf = Wayfinder.for_linux(application="nginx", metric="throughput", seed=7)

@@ -143,7 +143,7 @@ class TestCampaignSpec:
             make_campaign(algorithms=[])
         with pytest.raises(ValueError, match="axes"):
             make_campaign(base=dict(GRID_BASE, application="redis"))
-        with pytest.raises(ValueError, match="unknown base spec fields"):
+        with pytest.raises(ValueError, match="^unknown spec fields: bogus$"):
             make_campaign(base=dict(GRID_BASE, bogus=1))
         with pytest.raises(ValueError, match="favors axis"):
             make_campaign(favors=["runtime"],

@@ -6,6 +6,16 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config.jobfile import JobFile, dump_job_file
+from repro.core.spec import ExperimentSpec
+from repro.core.wayfinder import Wayfinder
+
+
+def write_job(path, space, **fields):
+    """Write a job file whose spec sets *fields* (name "job", seed 1)."""
+    spec = ExperimentSpec.from_dict(dict({"name": "job", "seed": 1}, **fields))
+    dump_job_file(JobFile(spec, space), path)
+    return path
 
 
 class TestParser:
@@ -15,17 +25,20 @@ class TestParser:
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.application == "nginx"
-        # algorithm/iterations parse as None so an explicit flag can be told
-        # apart from the default when a job file provides the setting; the
-        # effective defaults live in the spec builder.
-        assert args.algorithm is None
-        assert args.iterations is None
+        # spec flags parse as None so an explicit flag can be told apart
+        # from the default when a job file provides the setting; the
+        # effective defaults are the spec's (plus run's 100 iterations).
+        for dest in ("application", "metric", "algorithm", "os_name", "favor",
+                     "iterations", "seed", "workers", "batch_size",
+                     "execution", "plateau_trials", "warm_start"):
+            assert getattr(args, dest) is None, dest
         from repro.cli import _spec_from_args
 
         spec = _spec_from_args(args)
+        assert spec.application == "nginx"
         assert spec.algorithm == "deeptune"
         assert spec.iterations == 100
+        assert spec.seed == 0
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
@@ -67,7 +80,8 @@ class TestParser:
     def test_plateau_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--plateau", "0"])
-        assert build_parser().parse_args(["run", "--plateau", "7"]).plateau == 7
+        assert build_parser().parse_args(
+            ["run", "--plateau", "7"]).plateau_trials == 7
 
     def test_time_budget_must_be_a_positive_float(self):
         # zero/negative/non-numeric budgets used to slip through a plain
@@ -93,7 +107,7 @@ class TestParser:
         assert args.execution == "async"
         # run leaves the default unset so a job file's value can win
         assert build_parser().parse_args(["run"]).execution is None
-        assert build_parser().parse_args(["compare"]).execution == "batch"
+        assert build_parser().parse_args(["compare"]).execution is None
         for command in ("run", "compare"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--execution", "eager"])
@@ -105,21 +119,23 @@ class TestParser:
         assert _spec_from_args(build_parser().parse_args(["run"])).execution == "batch"
 
     def test_favor_forwarded_per_os(self):
-        from repro.cli import _build_wayfinder
+        from repro.cli import _spec_from_args
         from repro.config.parameter import ParameterKind
 
+        def favored(*argv):
+            args = build_parser().parse_args(["run", "--algorithm", "random"]
+                                             + list(argv))
+            return Wayfinder.from_spec(_spec_from_args(args)).favored_kinds
+
         # explicit favor is honoured on unikraft too (was silently dropped)
-        wf = _build_wayfinder("unikraft", "unikraft-nginx", "auto", "random",
-                              "boot", 1)
-        assert wf.favored_kinds == [ParameterKind.BOOT_TIME]
+        assert favored("--os", "unikraft", "--favor", "boot") == [
+            ParameterKind.BOOT_TIME]
         # unspecified favor keeps the per-OS historical defaults
-        assert _build_wayfinder("unikraft", "unikraft-nginx", "auto", "random",
-                                None, 1).favored_kinds is None
-        assert _build_wayfinder("linux", "nginx", "auto", "random",
-                                None, 1).favored_kinds == [ParameterKind.RUNTIME]
+        assert favored("--os", "unikraft") is None
+        assert favored() == [ParameterKind.RUNTIME]
         # "none" means explicitly unfavored on both
-        assert _build_wayfinder("linux", "nginx", "auto", "random",
-                                "none", 1).favored_kinds is None
+        assert favored("--favor", "none") is None
+        assert favored("--os", "unikraft", "--favor", "none") is None
 
 
 class TestCensus:
@@ -161,13 +177,8 @@ class TestRun:
         assert document["metadata"]["algorithm"] == "random"
 
     def test_run_from_job_file(self, tmp_path, capsys, small_space):
-        from repro.config.jobfile import JobFile, dump_job_file
-
-        job_path = str(tmp_path / "job.yaml")
-        job = JobFile(name="job", os_name="linux", application="nginx",
-                      bench_tool="wrk", metric="throughput", space=small_space,
-                      iterations=5, favor_kinds=["runtime"], seed=1)
-        dump_job_file(job, job_path)
+        job_path = write_job(str(tmp_path / "job.yaml"), small_space,
+                             metric="throughput", iterations=5)
         code = main(["run", "--job", job_path, "--algorithm", "random"])
         assert code == 0
         assert "Search result" in capsys.readouterr().out
@@ -207,15 +218,11 @@ class TestRun:
         assert all(0.0 < value <= 1.0 for value in utilization)
 
     def test_job_file_algorithm_and_budget_honoured(self, tmp_path, small_space):
-        from repro.cli import _spec_from_args, build_parser
-        from repro.config.jobfile import JobFile, dump_job_file
+        from repro.cli import _spec_from_args
 
-        job_path = str(tmp_path / "job.yaml")
-        job = JobFile(name="job", os_name="linux", application="nginx",
-                      bench_tool="wrk", metric="throughput", space=small_space,
-                      iterations=6, favor_kinds=["runtime"], seed=1,
-                      algorithm="random", plateau_trials=4)
-        dump_job_file(job, job_path)
+        job_path = write_job(str(tmp_path / "job.yaml"), small_space,
+                             metric="throughput", iterations=6,
+                             algorithm="random", plateau_trials=4)
         # without explicit flags the job file's settings win ...
         spec = _spec_from_args(build_parser().parse_args(["run", "--job", job_path]))
         assert spec.algorithm == "random"
@@ -230,19 +237,47 @@ class TestRun:
         assert spec.plateau_trials == 7
 
     def test_job_file_workers_used_and_overridable(self, tmp_path, capsys, small_space):
-        from repro.config.jobfile import JobFile, dump_job_file
-
-        job_path = str(tmp_path / "job.yaml")
-        job = JobFile(name="job", os_name="linux", application="nginx",
-                      bench_tool="wrk", metric="throughput", space=small_space,
-                      iterations=6, favor_kinds=["runtime"], seed=1,
-                      workers=2, batch_size=2)
-        dump_job_file(job, job_path)
+        job_path = write_job(str(tmp_path / "job.yaml"), small_space,
+                             metric="throughput", iterations=6, workers=2,
+                             batch_size=2)
         assert main(["run", "--job", job_path, "--algorithm", "random"]) == 0
         assert "2 workers" in capsys.readouterr().out
         assert main(["run", "--job", job_path, "--algorithm", "random",
                      "--workers", "3"]) == 0
         assert "3 workers" in capsys.readouterr().out
+
+    def test_explicit_flags_override_the_job_file(self, tmp_path, small_space):
+        # every spec flag the user gives wins over the job file, including
+        # the ones whose spec field has a non-None default
+        from repro.cli import _spec_from_args
+
+        from tests.conftest import SMALL_SPACE_OPTIONS
+
+        job_path = write_job(str(tmp_path / "job.yaml"), small_space,
+                             favor="runtime", metric="throughput",
+                             iterations=3, algorithm="random",
+                             space_options=SMALL_SPACE_OPTIONS)
+        results_dir = str(tmp_path / "results")
+        assert main(["run", "--job", job_path, "--favor", "boot",
+                     "--seed", "9", "--metric", "latency",
+                     "--application", "redis", "--results", results_dir]) == 0
+        with open(os.path.join(results_dir, "job.json")) as handle:
+            metadata = json.load(handle)["metadata"]
+        assert (metadata["favor"], metadata["seed"]) == ("boot", 9)
+        assert (metadata["application"], metadata["metric"]) == ("redis",
+                                                                 "latency")
+        spec = _spec_from_args(build_parser().parse_args(
+            ["run", "--job", job_path, "--os", "unikraft", "--favor", "none"]))
+        assert (spec.os_name, spec.favor) == ("unikraft", None)
+
+    def test_unusable_job_file_exits_cleanly(self, tmp_path, capsys, small_space):
+        missing = str(tmp_path / "missing.yaml")
+        assert main(["run", "--job", missing]) == 2
+        assert missing in capsys.readouterr().err
+        # a job with no budget would otherwise fail once the session starts
+        job_path = write_job(str(tmp_path / "job.yaml"), small_space)
+        assert main(["run", "--job", job_path]) == 2
+        assert "sets no budget" in capsys.readouterr().err
 
 
 class TestProgressOutput:
@@ -299,6 +334,9 @@ class TestCheckpointResumeCli:
         assert main(["run", "--resume", "ck", "--results", results_dir,
                      "--execution", "async"]) == 2
         assert "cannot be changed" in capsys.readouterr().err
+        assert main(["run", "--resume", "ck", "--results", results_dir,
+                     "--seed", "4", "--favor", "boot"]) == 2
+        assert "favor, seed cannot be changed" in capsys.readouterr().err
 
     def test_resume_requires_locatable_checkpoint(self, tmp_path, capsys):
         assert main(["run", "--resume", "nope"]) == 2
@@ -383,6 +421,15 @@ class TestCampaignCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "run", "--results", "out",
                                        "--lease-s", "0"])
+
+    def test_malformed_campaign_file_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("campaign:\n  name: bad\n  base:\n    iterations: true\n")
+        for resume in ([], ["--resume"]):
+            assert main(["campaign", "run", "--spec", str(path), "--results",
+                         str(tmp_path / "out")] + resume) == 2
+            assert capsys.readouterr().err == (
+                "spec field 'iterations' must be an integer (got bool True)\n")
 
     def test_campaign_chaos_run_matches_clean_run(self, tmp_path, capsys):
         """The headline invariant, driven through the CLI flags."""

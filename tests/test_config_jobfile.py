@@ -1,5 +1,7 @@
 """Unit tests for job-file serialization and the YAML-subset parser."""
 
+import re
+
 import pytest
 
 from repro.config.jobfile import (
@@ -93,6 +95,22 @@ job:
                 "flag": "-x", "question": "?y"}
         assert load_yaml(dump_yaml(data)) == data
 
+    def test_control_characters_are_quoted(self):
+        # an unquoted newline used to end the line early, so a name could
+        # rewrite another field: {"name": "x", "seed": 5} came back
+        data = {"name": "x\nseed: 5", "tab": "a\tb", "sep": "a\u2028b"}
+        text = dump_yaml(data)
+        assert len(text.splitlines()) == 3
+        assert load_yaml(text) == data
+
+    def test_escaped_quote_before_a_hash_is_not_a_comment(self):
+        data = {"key": 'a"#b', "list": ['say "hi" # twice']}
+        assert load_yaml(dump_yaml(data)) == data
+
+    def test_empty_top_level_containers_round_trip(self):
+        assert load_yaml(dump_yaml({})) == {}
+        assert load_yaml(dump_yaml([])) == []
+
     def test_reserved_words_round_trip_as_strings(self):
         data = {"values": ["null", "true", "no", "~"]}
         roundtripped = load_yaml(dump_yaml(data))
@@ -117,41 +135,58 @@ class TestParameterFromDict:
                                  "default": 1})
 
 
-class TestJobFile:
-    def make_job(self, small_space):
-        return JobFile(
-            name="nginx-throughput",
-            os_name="linux",
-            application="nginx",
-            bench_tool="wrk",
-            metric="throughput",
-            space=small_space,
-            iterations=100,
-            favor_kinds=["runtime"],
-            frozen={"kernel.randomize_va_space": 2},
-            seed=7,
-            workers=4,
-            batch_size=8,
-        )
+def every_field_spec(**changes):
+    """A spec that sets every ExperimentSpec field away from its default."""
+    from repro.core.spec import ExperimentSpec
 
+    from tests.conftest import SMALL_SPACE_OPTIONS
+
+    fields = dict(
+        name="redis-latency", os_name="linux", application="redis",
+        metric="latency", algorithm="bayesian", favor=None, seed=7,
+        iterations=100, time_budget_s=3600.5, plateau_trials=12, workers=4,
+        batch_size=8, execution="async", enable_skip_build=False,
+        frozen={"kernel.randomize_va_space": 2},
+        algorithm_options={"initial_random": 3, "hidden_dims": [24, 12]},
+        os_version="v6.0", architecture="aarch64",
+        space_options=SMALL_SPACE_OPTIONS,
+        warm_start={"zoo": "campaign/", "min_similarity": 0.4,
+                    "donor": "nginx"})
+    assert set(fields) == set(ExperimentSpec.FIELDS)
+    fields.update(changes)
+    return ExperimentSpec(**fields)
+
+
+class TestJobFile:
     @pytest.mark.parametrize("extension", ["yaml", "json"])
     def test_dump_and_load_roundtrip(self, tmp_path, small_space, extension):
-        job = self.make_job(small_space)
+        job = JobFile(every_field_spec(), small_space)
         path = str(tmp_path / ("job." + extension))
         dump_job_file(job, path)
         loaded = load_job_file(path)
-        assert loaded.name == job.name
-        assert loaded.application == "nginx"
-        assert loaded.metric == "throughput"
-        assert loaded.iterations == 100
-        assert loaded.seed == 7
-        assert loaded.workers == 4
-        assert loaded.batch_size == 8
+        assert loaded.spec == job.spec
+        assert loaded.spec.favor is None
         assert len(loaded.space) == len(small_space)
         assert loaded.space.frozen_parameters == {"kernel.randomize_va_space": 2}
 
+    @pytest.mark.parametrize("extension", ["yaml", "json"])
+    def test_unspecified_favor_round_trips_resolved(self, tmp_path, small_space,
+                                                    extension):
+        from repro.core.spec import UNSPECIFIED
+
+        spec = every_field_spec(favor=UNSPECIFIED)
+        path = str(tmp_path / ("job." + extension))
+        dump_job_file(JobFile(spec, small_space), path)
+        loaded = load_job_file(path).spec
+        assert loaded == spec
+        assert loaded.favor == "runtime"  # the linux default, written out
+
+    def test_job_block_is_the_spec_dict(self, small_space):
+        spec = every_field_spec()
+        assert JobFile(spec, small_space).to_dict()["job"] == spec.to_dict()
+
     def test_loaded_space_parameters_match_types(self, tmp_path, small_space):
-        job = self.make_job(small_space)
+        job = JobFile(every_field_spec(), small_space)
         path = str(tmp_path / "job.yaml")
         dump_job_file(job, path)
         loaded = load_job_file(path)
@@ -160,28 +195,73 @@ class TestJobFile:
             assert loaded.space[parameter.name].type_name == parameter.type_name
 
     def test_from_dict_defaults(self):
-        job = JobFile.from_dict({"job": {}, "parameters": []})
-        assert job.os_name == "linux"
-        assert job.iterations == 250
-        assert job.workers == 1
-        assert job.batch_size == 1
-
-    @pytest.mark.parametrize("key, value, field", [
-        ("iterations", True, "iterations"),
-        ("workers", 2.7, "workers"),
-        ("seed", "abc", "seed"),
-        ("batch_size", "8", "batch_size"),
-        ("time_budget_s", "1h", "time_budget_s"),
-        ("os", 5, "os_name"),
-        ("frozen", ["a"], "frozen"),
-    ])
-    def test_fields_validate_like_the_spec(self, key, value, field):
+        # an empty job block is the spec's defaults: no iteration budget
         from repro.core.spec import ExperimentSpec
+
+        job = JobFile.from_dict({"job": {}, "parameters": []})
+        assert job.spec == ExperimentSpec()
+        assert job.spec.iterations is None
+        assert len(job.space) == 0
+
+    def test_old_format_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown spec fields: "
+                           "bench_tool, favor_kinds, os$"):
+            JobFile.from_dict({"job": {"os": "linux", "bench_tool": "wrk",
+                                       "favor_kinds": ["runtime"]},
+                               "parameters": []})
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "a job file is a mapping"),
+        ({"parameters": []}, "a job file is a mapping"),
+        ({"job": {}, "extra": 1}, "unknown job file sections: extra"),
+        ({"job": {}, "parameters": {"a": 1}}, "must be a list"),
+        ({"job": {}, "parameters": [{"name": "x"}]}, "malformed job file parameter"),
+        ({"job": {}, "parameters": [5]}, "malformed job file parameter"),
+    ])
+    def test_malformed_documents_are_value_errors(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            JobFile.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", True),
+        ("workers", 2.7),
+        ("favor", "sideways"),
+        ("surprise", 1),
+        ("seed", "abc"),
+        ("batch_size", "8"),
+        ("time_budget_s", "1h"),
+        ("os_name", 5),
+        ("frozen", ["a"]),
+    ])
+    def test_fields_validate_like_the_spec(self, tmp_path, capsys, field, value):
+        """One bad field gives one message on every input surface: the spec,
+        a job file, a campaign's base block, the tuning service and
+        ``repro run --job``."""
+        from repro.cli import main
+        from repro.core.campaign import CampaignSpec
+        from repro.core.spec import ExperimentSpec
+        from repro.service.api import ApiError
+        from repro.service.server import TuningService
 
         with pytest.raises(ValueError) as spec_error:
             ExperimentSpec.from_dict({field: value})
-        with pytest.raises(ValueError) as job_error:
-            JobFile.from_dict({"job": {key: value}, "parameters": []})
-        assert str(job_error.value) == str(spec_error.value)
-        assert str(job_error.value).startswith(
-            "spec field {!r} must be".format(field))
+        message = str(spec_error.value)
+        exactly = "^" + re.escape(message) + "$"
+
+        with pytest.raises(ValueError, match=exactly):
+            JobFile.from_dict({"job": {field: value}, "parameters": []})
+        if field != "seed":  # a campaign's seeds are its own axis
+            with pytest.raises(ValueError, match=exactly):
+                CampaignSpec.from_dict({"name": "c", "base": {field: value}})
+        service = TuningService(str(tmp_path / "service"), workers=1)
+        try:
+            with pytest.raises(ApiError) as api_error:
+                service.submit_experiment("acme", {field: value})
+        finally:
+            service.shutdown()
+        assert api_error.value.status == 400
+        assert api_error.value.message == message
+        path = tmp_path / "job.yaml"
+        path.write_text(dump_yaml({"job": {field: value}, "parameters": []}))
+        assert main(["run", "--job", str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"

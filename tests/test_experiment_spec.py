@@ -7,7 +7,7 @@ survive a serialization round-trip, because checkpoints embed it verbatim.
 
 import pytest
 
-from repro.config.jobfile import JobFile
+from repro.config.jobfile import JobFile, dump_yaml, load_job_file
 from repro.config.parameter import ParameterKind
 from repro.core.spec import UNSPECIFIED, ExperimentSpec, default_favor
 from repro.core.wayfinder import Wayfinder
@@ -105,17 +105,19 @@ class TestFrontEndEquivalence:
                                   iterations=40, workers=2, batch_size=2).spec
         assert cli == api
 
-    def test_cli_matches_jobfile(self, small_space):
-        job = JobFile(name="linux-redis-random", os_name="linux",
-                      application="redis", metric="throughput", bench_tool="wrk",
-                      space=small_space, iterations=40, seed=5,
-                      favor_kinds=["runtime"], workers=2, batch_size=2,
-                      algorithm="random")
+    def test_cli_matches_jobfile(self, tmp_path):
+        path = tmp_path / "job.yaml"
+        path.write_text(dump_yaml({"job": {
+            "name": "linux-redis-random", "application": "redis",
+            "metric": "throughput", "algorithm": "random", "favor": "runtime",
+            "seed": 5, "iterations": 40, "workers": 2, "batch_size": 2},
+            "parameters": []}))
         cli = self._cli_spec("--application", "redis", "--metric", "throughput",
                              "--algorithm", "random", "--favor", "runtime",
                              "--seed", "5", "--iterations", "40",
                              "--workers", "2", "--batch-size", "2")
-        assert job.to_spec() == cli
+        assert load_job_file(str(path)).spec == cli
+        assert self._cli_spec("--job", str(path)) == cli
 
     def test_unikraft_defaults_agree(self):
         cli = self._cli_spec("--os", "unikraft", "--algorithm", "random",
@@ -125,33 +127,33 @@ class TestFrontEndEquivalence:
         assert cli == api
         assert cli.favor is None
 
-    def test_jobfile_favor_kind_combinations(self, small_space):
-        def job_with(kinds):
-            return JobFile(name="j", os_name="linux", application="nginx",
-                           bench_tool="wrk", metric="throughput",
-                           space=small_space, favor_kinds=kinds)
+    def test_none_is_the_one_spelling_of_unfavored(self, tmp_path):
+        from repro.core.campaign import CampaignSpec
 
-        assert job_with(["runtime", "boot"]).to_spec().favor == "runtime+boot"
-        assert job_with([]).to_spec().favor == "runtime"  # linux default
-        # combinations without an exact preset fall back to the first kind
-        # (the historical CLI behaviour), loudly
-        with pytest.warns(UserWarning, match="no exact favor preset"):
-            assert job_with(["compile", "runtime"]).to_spec().favor == "compile"
-        with pytest.raises(ValueError):
-            job_with(["mystery"]).to_spec()
+        unfavored = ExperimentSpec.from_dict({"favor": None})
+        assert unfavored.favor is None
+        assert ExperimentSpec.from_dict({"favor": "none"}) == unfavored
+        assert ExperimentSpec(favor="none") == unfavored
+        assert self._cli_spec("--favor", "none",
+                              "--iterations", "100") == ExperimentSpec(
+                                  favor=None, iterations=100)
+        path = tmp_path / "job.yaml"
+        path.write_text("job:\n  favor: none\nparameters: []\n")
+        assert load_job_file(str(path)).spec == unfavored
+        campaign = CampaignSpec(name="c", favors=["none"])
+        assert campaign.expand()[0].favor is None
+        assert campaign.favors == [None]
 
     def test_jobfile_round_trips_algorithm_and_plateau(self, tmp_path, small_space):
-        from repro.config.jobfile import dump_job_file, load_job_file
+        from repro.config.jobfile import dump_job_file
 
-        job = JobFile(name="j", os_name="linux", application="nginx",
-                      bench_tool="wrk", metric="throughput", space=small_space,
-                      algorithm="bayesian", plateau_trials=15)
+        job = JobFile(ExperimentSpec(algorithm="bayesian", plateau_trials=15),
+                      small_space)
         path = str(tmp_path / "job.yaml")
         dump_job_file(job, path)
         loaded = load_job_file(path)
-        assert loaded.algorithm == "bayesian"
-        assert loaded.plateau_trials == 15
-        assert loaded.to_spec().plateau_trials == 15
+        assert loaded.spec.algorithm == "bayesian"
+        assert loaded.spec.plateau_trials == 15
 
     def test_wayfinder_consumes_only_the_spec(self):
         spec = ExperimentSpec(application="nginx", metric="throughput",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import normalized_mae
 from repro.config.encoding import ConfigEncoder
+from repro.config.jobfile import dump_yaml, load_yaml
 from repro.config.parameter import (
     BoolParameter,
     CategoricalParameter,
@@ -198,3 +199,26 @@ def test_procfs_writes_never_corrupt_state(writes):
             stored = int(procfs.read(path))
             assert entry.minimum is None or stored >= entry.minimum
             assert entry.maximum is None or stored <= entry.maximum
+
+
+# ---------------------------------------------------------------------------
+# YAML-subset properties
+# ---------------------------------------------------------------------------
+
+#: mapping keys are identifiers, as in job and campaign files (spec field
+#: and parameter names); the writer does not quote keys.
+YAML_KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,11}", fullmatch=True)
+YAML_SCALARS = (st.text() | st.integers() | st.booleans() | st.none()
+                | st.floats(allow_nan=False))
+YAML_TREES = st.recursive(
+    YAML_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(YAML_KEYS, children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(YAML_KEYS, YAML_TREES, max_size=5)
+       | st.lists(YAML_TREES, max_size=5))
+def test_yaml_round_trip(document):
+    assert load_yaml(dump_yaml(document)) == document

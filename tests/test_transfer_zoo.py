@@ -401,14 +401,12 @@ class TestSpecSurface:
     def test_jobfile_round_trip(self, tmp_path, small_space):
         from repro.config.jobfile import JobFile, dump_job_file, load_job_file
 
-        job = JobFile(name="warm", os_name="linux", application="sqlite",
-                      bench_tool="sqlite-bench", metric="auto",
-                      space=small_space, warm_start={"zoo": "campaign/"})
+        job = JobFile(ExperimentSpec(name="warm", application="sqlite",
+                                     warm_start={"zoo": "campaign/"}),
+                      small_space)
         path = str(tmp_path / "job.json")
         dump_job_file(job, path)
-        loaded = load_job_file(path)
-        assert loaded.warm_start == {"zoo": "campaign/"}
-        assert loaded.to_spec().warm_start == {"zoo": "campaign/"}
+        assert load_job_file(path).spec.warm_start == {"zoo": "campaign/"}
 
     def test_cli_flags(self):
         from repro.cli import _spec_from_args, build_parser
