@@ -149,7 +149,7 @@ def test_batch_encoding_speedup():
             timings.append(time.perf_counter() - started)
         return min(timings)
 
-    reference_s = best_of(lambda: [encoder.encode_reference(c) for c in pool])
+    reference_s = best_of(lambda: [encoder.encode_per_parameter(c) for c in pool])
     batch_s = best_of(lambda: encoder.encode_batch(pool))
     speedup = reference_s / max(batch_s, 1e-12)
 
@@ -730,6 +730,7 @@ def test_report_aggregation_streams_columns(tmp_path):
 def test_forest_scoring():
     """Flattened-tree batch prediction beats the per-row oracle >= 5x."""
     from repro.deeptune.forest import RandomForestRegressor
+    from tests.oracles import forest_predict_reference
 
     rng = np.random.default_rng(23)
     train = rng.uniform(size=(400, 16))
@@ -750,11 +751,11 @@ def test_forest_scoring():
         return min(timings)
 
     batch = forest.predict(queries)
-    reference = forest.predict_reference(queries)
+    reference = forest_predict_reference(forest, queries)
     assert np.array_equal(batch, reference)  # bit-identical, not just close
 
     batch_s = best_of(lambda: forest.predict(queries))
-    reference_s = best_of(lambda: forest.predict_reference(queries))
+    reference_s = best_of(lambda: forest_predict_reference(forest, queries))
     speedup = reference_s / max(batch_s, 1e-12)
     _record_artifact("forest_scoring", {
         "trees": 20,

@@ -35,12 +35,11 @@ from repro.platform.trialstore import ColumnarHistoryView
 
 
 class CampaignResults:
-    """A loaded view of a campaign directory: manifest plus result documents."""
+    """A loaded campaign directory: its manifest plus lazy per-experiment views."""
 
     def __init__(self, directory: str, manifest: Dict[str, Any]) -> None:
         self.directory = directory
         self.manifest = manifest
-        self._documents: Dict[str, Dict[str, Any]] = {}
         self._views: Dict[str, ColumnarHistoryView] = {}
 
     @property
@@ -84,21 +83,6 @@ class CampaignResults:
             path = os.path.join(self.directory, name + ".json")
             self._views[name] = open_history_view(path)
         return self._views[name]
-
-    def document(self, name: str) -> Dict[str, Any]:
-        """The stored history document of experiment *name* (cached).
-
-        Records live in the columnar sidecars; this materializes the
-        manifest-referenced prefix under ``"records"`` for callers that
-        genuinely need configurations.  Aggregation code should prefer
-        :meth:`view`.
-        """
-        if name not in self._documents:
-            view = self.view(name)
-            document = dict(view.document)
-            document["records"] = view.record_dicts()
-            self._documents[name] = document
-        return self._documents[name]
 
 
 def load_campaign(directory: str) -> CampaignResults:

@@ -4,10 +4,10 @@ DeepTune and the Bayesian-optimization baseline operate on fixed-width float
 vectors.  Each configuration ``x`` is split, as in §3.2 of the paper, into the
 categorical part ``x_k`` (bools, tristates, strings, enumerations — one-hot
 encoded) and the numeric part ``x_n`` (ints and hex values — min/max or
-log-scaled to [0, 1]).  The encoder additionally supports z-score
-normalization over a reference dataset, which is the form the RBF uncertainty
-branch expects (the paper fits the RBF smoothing parameter gamma assuming
-z-scored inputs).
+log-scaled to [0, 1]).  The encoder stops there: z-scoring the encoded
+columns, the form the RBF uncertainty branch expects (the paper fits the RBF
+smoothing parameter gamma assuming z-scored inputs), is the job of the DTM's
+own :class:`~repro.nn.normalize.StandardScaler`.
 
 Encoding sits on the hottest path of the search loop: every iteration encodes
 a full candidate pool (192 configurations by default) plus the observed
@@ -17,8 +17,9 @@ writer per parameter — so :meth:`encode_batch` fills the (n, width) matrix
 column-group by column-group with numpy array operations instead of a
 per-configuration Python loop, and keeps an LRU vector cache keyed by the
 (hashable) configuration so no configuration is ever encoded twice.  The fast
-path is bit-identical to the reference per-parameter path (log-scaled columns
-go through ``math.log1p`` exactly like :meth:`Parameter.encode` does, because
+path is bit-identical to the naive per-parameter path,
+:meth:`ConfigEncoder.encode_per_parameter` (log-scaled columns go through
+``math.log1p`` exactly like :meth:`Parameter.encode` does, because
 ``np.log1p`` differs from the C library in the last ulp on some platforms).
 """
 
@@ -221,9 +222,6 @@ class ConfigEncoder:
         #: re-encoded through the reference path — should stay 0; a nonzero
         #: count means the fast path is silently degrading.
         self.plan_fallbacks = 0
-        # z-score statistics, fitted lazily from observed data.
-        self._mean: Optional[np.ndarray] = None
-        self._std: Optional[np.ndarray] = None
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -312,11 +310,12 @@ class ConfigEncoder:
                     out[row, writer.start:writer.stop] = encode(value)
         return out
 
-    def encode_reference(self, configuration: Configuration) -> np.ndarray:
-        """Reference scalar path: one ``Parameter.encode`` call per parameter.
+    def encode_per_parameter(self, configuration: Configuration) -> np.ndarray:
+        """Naive scalar path: one ``Parameter.encode`` call per parameter.
 
-        Kept as the equivalence oracle for the vectorized plan (tests assert
-        the two paths are bit-identical) and used by the fallback writer.
+        Unicorn encodes through this on purpose, to keep the cost profile of
+        Figure 7; it bypasses the plan and the cache, and the tests pin the
+        vectorized plan bit-identical to it.
         """
         vector = np.empty(self._width, dtype=np.float64)
         for parameter in self.space.parameters():
@@ -386,36 +385,6 @@ class ConfigEncoder:
             start, stop = self._slices[parameter.name]
             values[parameter.name] = parameter.decode(list(vector[start:stop]))
         return Configuration(self.space, values)
-
-    # -- normalization ------------------------------------------------------------
-    def fit_normalization(self, matrix: np.ndarray) -> None:
-        """Fit z-score statistics from an (n, width) matrix of encoded configs."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self._width:
-            raise ValueError("normalization data must be (n, {})".format(self._width))
-        if matrix.shape[0] == 0:
-            raise ValueError("cannot fit normalization on an empty matrix")
-        self._mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
-        # Constant columns carry no signal; leave them centred at zero with
-        # unit scale instead of dividing by zero.
-        std[std < 1e-12] = 1.0
-        self._std = std
-
-    @property
-    def is_normalized(self) -> bool:
-        return self._mean is not None
-
-    def normalize(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply the fitted z-score transform (identity if not fitted)."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if self._mean is None or self._std is None:
-            return matrix
-        return (matrix - self._mean) / self._std
-
-    def encode_normalized(self, configurations: Iterable[Configuration]) -> np.ndarray:
-        """Encode and z-score a batch in one call."""
-        return self.normalize(self.encode_batch(configurations))
 
     # -- distances -------------------------------------------------------------------
     def distance(self, first: Configuration, second: Configuration) -> float:

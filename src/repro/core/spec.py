@@ -117,8 +117,17 @@ class ExperimentSpec:
             raise ValueError("unknown metric {!r}; expected one of {}".format(
                 metric, ", ".join(_KNOWN_METRICS)))
         # Imported here so building a spec stays cheap for the config layer.
+        from repro.apps.registry import available_applications
         from repro.search.registry import available_algorithms
 
+        # The Unikraft experiment always targets the §4.4 Nginx image, exactly
+        # as the CLI has always resolved it; normalizing here keeps specs from
+        # different front-ends comparable.
+        if os_name == "unikraft":
+            application = "unikraft-nginx"
+        if application not in available_applications():
+            raise ValueError("unknown application {!r}; available: {}".format(
+                application, ", ".join(available_applications())))
         if algorithm not in available_algorithms():
             raise ValueError("unknown algorithm {!r}; available: {}".format(
                 algorithm, ", ".join(available_algorithms())))
@@ -150,10 +159,7 @@ class ExperimentSpec:
             warm_start = self._validate_warm_start(warm_start)
 
         self.os_name = os_name
-        # The Unikraft experiment always targets the §4.4 Nginx image, exactly
-        # as the CLI has always resolved it; normalizing here keeps specs from
-        # different front-ends comparable.
-        self.application = "unikraft-nginx" if os_name == "unikraft" else application
+        self.application = application
         # auto-metric on Unikraft has always meant throughput.
         if os_name == "unikraft" and metric == "auto":
             metric = "throughput"

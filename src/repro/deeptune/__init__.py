@@ -6,10 +6,10 @@ of a configuration, and whose RBF-based uncertainty branch estimates how
 unfamiliar a configuration is.  ``algorithm`` wraps the DTM in the candidate
 generation / prediction / scoring / evaluation loop of Figure 3;
 ``scoring`` provides the exploration/exploitation scoring function (eq. 2-3);
-``transfer`` handles saving, loading and reusing trained models across
-applications; ``importance`` extracts per-parameter importance scores used by
-the cross-similarity analysis (Figure 5) and the "high-impact parameters"
-discussion of §4.1.
+``transfer`` reuses trained models across applications, directly or through
+the surrogate model zoo; ``importance`` extracts per-parameter importance
+scores used by the cross-similarity analysis (Figure 5) and the
+"high-impact parameters" discussion of §4.1.
 """
 
 from repro.deeptune.algorithm import DeepTuneSearch
@@ -19,11 +19,7 @@ from repro.deeptune.importance import (
 )
 from repro.deeptune.model import DeepTuneModel, DTMPrediction
 from repro.deeptune.scoring import dissimilarity, score_candidates
-from repro.deeptune.transfer import (
-    load_model_state,
-    save_model_state,
-    transfer_model,
-)
+from repro.deeptune.transfer import transfer_model
 
 __all__ = [
     "DeepTuneModel",
@@ -32,8 +28,6 @@ __all__ = [
     "score_candidates",
     "dissimilarity",
     "transfer_model",
-    "save_model_state",
-    "load_model_state",
     "variance_reduction_importance",
     "parameter_importance",
 ]

@@ -10,13 +10,13 @@ out-of-bag error estimation.
 
 Fitting and prediction both run on flat arrays: ``_best_split`` scores every
 candidate threshold of a column with one vectorized pass over the cumulative
-sums, and fitted trees are flattened to parallel node arrays so ``predict``
-traverses all rows at once (iterative masked descent) instead of recursing
-per row.  Both hot paths keep their original scalar implementations —
-``_best_split_reference`` and ``predict_reference`` — as bit-exact oracles:
-the vectorized forms compute the same IEEE-754 float64 operations in the
-same order per element, so results are identical to the last bit, and the
-test suite pins that equivalence on randomized fixtures.
+sums, trees grow straight into parallel preorder node arrays, and
+``predict`` traverses all rows at once (iterative masked descent) instead
+of walking one row at a time.  Both compute the same IEEE-754 float64
+operations in the same order per element as the scalar split scan and the
+per-row descent, so results are identical to the last bit; those scalar
+forms live with the tests (``tests/oracles.py``), which pin the
+equivalence on randomized fixtures.
 """
 
 from __future__ import annotations
@@ -26,19 +26,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 Array = np.ndarray
-
-
-class _TreeNode:
-    """One node of a regression tree (leaf when ``feature`` is None)."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value: float) -> None:
-        self.feature: Optional[int] = None
-        self.threshold: float = 0.0
-        self.left: Optional["_TreeNode"] = None
-        self.right: Optional["_TreeNode"] = None
-        self.value = value
 
 
 class RegressionTree:
@@ -55,11 +42,10 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng or np.random.default_rng(0)
-        self._root: Optional[_TreeNode] = None
         self._n_features = 0
         self.feature_importances_: Optional[Array] = None
-        # flattened node arrays for vectorized prediction (built by fit):
-        # feature is -1 at leaves, left/right hold child node indices.
+        # preorder node arrays (built by fit): feature is -1 at leaves,
+        # left/right hold child node indices.
         self._feature: Optional[Array] = None
         self._threshold: Optional[Array] = None
         self._left: Optional[Array] = None
@@ -74,23 +60,29 @@ class RegressionTree:
             raise ValueError("features must be (n, d) aligned with targets (n,)")
         self._n_features = features.shape[1]
         self.feature_importances_ = np.zeros(self._n_features)
-        self._root = self._grow(features, targets, depth=0)
+        nodes: Tuple[list, ...] = ([], [], [], [], [])
+        self._grow(features, targets, 0, nodes)
         total = self.feature_importances_.sum()
         if total > 0:
             self.feature_importances_ /= total
-        self._flatten()
+        feature, threshold, left, right, value = nodes
+        self._feature = np.asarray(feature, dtype=np.int64)
+        self._threshold = np.asarray(threshold, dtype=np.float64)
+        self._left = np.asarray(left, dtype=np.int64)
+        self._right = np.asarray(right, dtype=np.int64)
+        self._value = np.asarray(value, dtype=np.float64)
         return self
 
     def _best_split(self, features: Array, targets: Array,
                     columns: Array) -> Tuple[Optional[int], float, float]:
         """Return (feature, threshold, impurity decrease) of the best split.
 
-        Vectorized form of :meth:`_best_split_reference`: all candidate
-        thresholds of a column are scored in one array pass over the
-        cumulative sums.  Every elementwise operation is the same float64
-        arithmetic the scalar loop performs, and ``np.argmax``'s
-        first-occurrence semantics reproduce its strictly-greater ascending
-        scan, so the chosen split is bit-identical.
+        All candidate thresholds of a column are scored in one array pass
+        over the cumulative sums.  Every elementwise operation is the same
+        float64 arithmetic a scalar scan over the thresholds performs, and
+        ``np.argmax``'s first-occurrence semantics reproduce its
+        strictly-greater ascending scan, so the chosen split is
+        bit-identical.
         """
         n = targets.shape[0]
         parent_sse = float(np.sum((targets - targets.mean()) ** 2))
@@ -133,95 +125,51 @@ class RegressionTree:
                 best = (int(column), float(threshold), column_best)
         return best
 
-    def _best_split_reference(self, features: Array, targets: Array,
-                              columns: Array) -> Tuple[Optional[int], float, float]:
-        """Scalar oracle for :meth:`_best_split` (kept for the equivalence tests)."""
-        n = targets.shape[0]
-        parent_sse = float(np.sum((targets - targets.mean()) ** 2))
-        best = (None, 0.0, 0.0)
-        for column in columns:
-            values = features[:, column]
-            order = np.argsort(values, kind="mergesort")
-            sorted_values = values[order]
-            sorted_targets = targets[order]
-            cumulative = np.cumsum(sorted_targets)
-            cumulative_sq = np.cumsum(sorted_targets ** 2)
-            total = cumulative[-1]
-            total_sq = cumulative_sq[-1]
-            for split in range(self.min_samples_leaf, n - self.min_samples_leaf + 1):
-                if split < 1 or split >= n:
-                    continue
-                if sorted_values[split - 1] == sorted_values[split]:
-                    continue
-                left_sum = cumulative[split - 1]
-                left_sq = cumulative_sq[split - 1]
-                right_sum = total - left_sum
-                right_sq = total_sq - left_sq
-                left_sse = left_sq - left_sum ** 2 / split
-                right_sse = right_sq - right_sum ** 2 / (n - split)
-                decrease = parent_sse - (left_sse + right_sse)
-                if decrease > best[2]:
-                    threshold = 0.5 * (sorted_values[split - 1] + sorted_values[split])
-                    best = (int(column), float(threshold), float(decrease))
-        return best
+    def _grow(self, features: Array, targets: Array, depth: int,
+              nodes: Tuple[list, ...]) -> int:
+        """Append the subtree over *targets* to *nodes* in preorder.
 
-    def _grow(self, features: Array, targets: Array, depth: int) -> _TreeNode:
-        node = _TreeNode(float(targets.mean()))
+        *nodes* holds the (feature, threshold, left, right, value) lists
+        ``fit`` turns into the flat node arrays; returns the subtree root's
+        index.  Recursing left before right fixes both the node order and
+        the order of the per-split RNG draws.
+        """
+        feature, threshold, left, right, value = nodes
+        index = len(value)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(targets.mean()))
         if (depth >= self.max_depth or targets.shape[0] < 2 * self.min_samples_leaf
                 or float(np.var(targets)) < 1e-12):
-            return node
+            return index
         n_candidates = self.max_features or self._n_features
         n_candidates = min(n_candidates, self._n_features)
         columns = self.rng.choice(self._n_features, size=n_candidates, replace=False)
-        feature, threshold, decrease = self._best_split(features, targets, columns)
-        if feature is None or decrease <= 0.0:
-            return node
-        mask = features[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        self.feature_importances_[feature] += decrease
-        node.left = self._grow(features[mask], targets[mask], depth + 1)
-        node.right = self._grow(features[~mask], targets[~mask], depth + 1)
-        return node
-
-    def _flatten(self) -> None:
-        """Lay the fitted tree out as parallel node arrays (preorder)."""
-        feature: List[int] = []
-        threshold: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
-        value: List[float] = []
-        stack = [(self._root, -1, False)]
-        while stack:
-            node, parent, is_right = stack.pop()
-            index = len(feature)
-            feature.append(-1 if node.feature is None else node.feature)
-            threshold.append(node.threshold)
-            left.append(-1)
-            right.append(-1)
-            value.append(node.value)
-            if parent >= 0:
-                (right if is_right else left)[parent] = index
-            if node.feature is not None:
-                stack.append((node.right, index, True))
-                stack.append((node.left, index, False))
-        self._feature = np.asarray(feature, dtype=np.int64)
-        self._threshold = np.asarray(threshold, dtype=np.float64)
-        self._left = np.asarray(left, dtype=np.int64)
-        self._right = np.asarray(right, dtype=np.int64)
-        self._value = np.asarray(value, dtype=np.float64)
+        split_feature, split_threshold, decrease = self._best_split(
+            features, targets, columns)
+        if split_feature is None or decrease <= 0.0:
+            return index
+        mask = features[:, split_feature] <= split_threshold
+        feature[index] = split_feature
+        threshold[index] = split_threshold
+        self.feature_importances_[split_feature] += decrease
+        left[index] = self._grow(features[mask], targets[mask], depth + 1, nodes)
+        right[index] = self._grow(features[~mask], targets[~mask], depth + 1,
+                                  nodes)
+        return index
 
     # -- prediction ----------------------------------------------------------------
     def predict(self, features: Array) -> Array:
         """Batch prediction via iterative vectorized traversal.
 
-        All rows descend the flattened node arrays together; rows parked at
-        leaves drop out of the active set each level.  The comparison per
-        level is the identical ``row[feature] <= threshold`` float64 test
-        the per-row oracle performs, so outputs are bit-identical to
-        :meth:`predict_reference`.
+        All rows descend the node arrays together; rows parked at leaves
+        drop out of the active set each level.  The comparison per level is
+        the identical ``row[feature] <= threshold`` float64 test a per-row
+        descent performs, so outputs are bit-identical to it.
         """
-        if self._root is None:
+        if self._feature is None:
             raise RuntimeError("predict called before fit")
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
@@ -238,21 +186,6 @@ class RegressionTree:
             node[active] = np.where(go_left, self._left[current],
                                     self._right[current])
         return self._value[node]
-
-    def predict_reference(self, features: Array) -> Array:
-        """Per-row oracle for :meth:`predict` (kept for the equivalence tests)."""
-        if self._root is None:
-            raise RuntimeError("predict called before fit")
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(1, -1)
-        return np.array([self._predict_row(row) for row in features])
-
-    def _predict_row(self, row: Array) -> float:
-        node = self._root
-        while node.feature is not None:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
 
 
 class RandomForestRegressor:
@@ -320,16 +253,6 @@ class RandomForestRegressor:
         predictions = np.zeros(features.shape[0] if features.ndim == 2 else 1)
         for tree in self.trees:
             predictions = predictions + tree.predict(features)
-        return predictions / len(self.trees)
-
-    def predict_reference(self, features: Array) -> Array:
-        """Per-row oracle for :meth:`predict` (kept for the equivalence tests)."""
-        if not self.trees:
-            raise RuntimeError("predict called before fit")
-        features = np.asarray(features, dtype=np.float64)
-        predictions = np.zeros(features.shape[0] if features.ndim == 2 else 1)
-        for tree in self.trees:
-            predictions = predictions + tree.predict_reference(features)
         return predictions / len(self.trees)
 
 

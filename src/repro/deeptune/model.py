@@ -304,9 +304,6 @@ class DeepTuneModel:
         uncertainty = 1.0 - np.clip(familiarity, 0.0, 1.0)
         return DTMPrediction(crash_probability, performance, uncertainty)
 
-    def predict_crash(self, X: Array) -> Array:
-        return self.predict(X).crash_probability
-
     # -- persistence (used by transfer learning) -------------------------------------------
     def state_dict(self) -> Dict[str, Array]:
         """Snapshot every trainable array and the scaler statistics."""

@@ -51,8 +51,7 @@ Entry records carry:
     against.
 ``model_file`` / ``model_meta``
     The ``.npz`` basename and the constructor metadata needed to rebuild
-    the architecture before loading weights (same fields
-    :func:`save_model_state` writes).
+    the architecture before loading weights.
 ``experiment`` / ``campaign`` / ``algorithm`` / ``seed``
     Provenance of the run that produced the donor.
 
@@ -138,30 +137,6 @@ def _model_from_metadata(metadata: Dict[str, Any]) -> DeepTuneModel:
         chamfer_weight=float(metadata["chamfer_weight"]),
         seed=int(metadata["seed"]),
     )
-
-
-def save_model_state(model: DeepTuneModel, path: str) -> None:
-    """Persist a model snapshot to *path* (.npz plus a JSON sidecar)."""
-    state = model.state_dict()
-    np.savez(path, **state)
-    with open(_metadata_path(path), "w") as handle:
-        json.dump(_model_metadata(model), handle, indent=2)
-
-
-def load_model_state(path: str) -> DeepTuneModel:
-    """Load a model snapshot previously written by :func:`save_model_state`."""
-    with open(_metadata_path(path)) as handle:
-        metadata = json.load(handle)
-    model = _model_from_metadata(metadata)
-    archive = np.load(path if path.endswith(".npz") else path + ".npz")
-    state: Dict[str, np.ndarray] = {key: archive[key] for key in archive.files}
-    model.load_state_dict(state)
-    return model
-
-
-def _metadata_path(path: str) -> str:
-    base = path[:-4] if path.endswith(".npz") else path
-    return base + ".meta.json"
 
 
 # -- the surrogate model zoo ------------------------------------------------------

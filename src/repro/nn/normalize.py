@@ -158,10 +158,3 @@ class StandardScaler:
         else:
             result = data * self.std_ + self.mean_
         return result.reshape(-1) if squeeze else result
-
-    def inverse_scale(self, data: Array) -> Array:
-        """Undo only the scaling (for standard deviations, not means)."""
-        data = np.asarray(data, dtype=np.float64)
-        if not self.is_fitted:
-            return data
-        return data * self.std_.reshape(-1)[0] if data.ndim == 1 else data * self.std_

@@ -140,17 +140,11 @@ class ExplorationHistory:
         return self._records[count:]
 
     # -- bookkeeping ------------------------------------------------------------------
-    def explored_configurations(self) -> List[Configuration]:
-        return [record.configuration for record in self._records]
-
     def contains_configuration(self, configuration: Configuration) -> bool:
         return configuration in self._explored
 
     def successful_records(self) -> List[TrialRecord]:
         return [r for r in self._records if not r.crashed and r.objective is not None]
-
-    def crashed_records(self) -> List[TrialRecord]:
-        return [r for r in self._records if r.crashed]
 
     def crash_rate(self, window: Optional[int] = None) -> float:
         """Fraction of crashed trials, optionally over the last *window* trials."""
@@ -218,8 +212,8 @@ class ExplorationHistory:
         return series
 
     # -- machine-learning views --------------------------------------------------------------
-    def training_arrays(self, encoder: ConfigEncoder,
-                        normalize: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def training_arrays(self, encoder: ConfigEncoder
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (X, y, crashed) arrays for model training.
 
         Crashed trials have no objective; their ``y`` entry is NaN so callers
@@ -236,8 +230,6 @@ class ExplorationHistory:
         n = len(self._records)
         configurations = [record.configuration for record in self._records]
         matrix = encoder.encode_batch(configurations)
-        if normalize:
-            matrix = encoder.normalize(matrix)
         objective = self._objective_buffer[:n]
         crashed = self._crash_buffer[:n]
         objective.flags.writeable = False

@@ -405,31 +405,6 @@ class ResultsStore:
         return path
 
 
-def _sidecar_paths(manifest_path: str, document: Dict[str, object]) -> tuple:
-    """Resolve a manifest's sidecar references next to the manifest itself.
-
-    Manifests carry sidecar *basenames*, so a results directory (or an
-    archived copy of a manifest inside it) stays relocatable as a unit.
-    """
-    columns = document.get("trial_columns")
-    payloads = document.get("trial_payloads")
-    if not columns or not payloads:
-        raise ValueError(
-            "{} does not reference its trial sidecar files".format(manifest_path))
-    directory = os.path.dirname(os.path.abspath(manifest_path))
-    return os.path.join(directory, str(columns)), os.path.join(directory,
-                                                               str(payloads))
-
-
-def _attach_records(path: str, document: Dict[str, object]) -> Dict[str, object]:
-    """Read the manifest-referenced sidecar prefix into ``"records"``."""
-    columns_path, payloads_path = _sidecar_paths(path, document)
-    document["records"] = trialstore.read_record_dicts(
-        columns_path, payloads_path, int(document.get("trials", 0)),
-        document.get("payload_blocks"))
-    return document
-
-
 def load_history_document(path: str) -> Dict[str, object]:
     """Load a stored history manifest with its records attached.
 
@@ -442,12 +417,10 @@ def load_history_document(path: str) -> Dict[str, object]:
     columns should use :func:`open_history_view` instead, which never
     parses payloads it is not asked for.
     """
-    with open(path) as handle:
-        document = json.load(handle)
-    version = document.get("format_version")
-    if version != ResultsStore.FORMAT_VERSION:
-        raise ValueError("unsupported results format version: {!r}".format(version))
-    return _attach_records(path, document)
+    view = open_history_view(path)
+    document = view.document
+    document["records"] = view.record_dicts()
+    return document
 
 
 def open_history_view(path: str) -> trialstore.ColumnarHistoryView:
@@ -563,7 +536,9 @@ def load_checkpoint_file(path: str) -> Dict[str, object]:
     if version != ResultsStore.CHECKPOINT_FORMAT_VERSION:
         raise ValueError("unsupported checkpoint format version: {!r}".format(
             version))
-    return _attach_records(path, document)
+    document["records"] = trialstore.ColumnarHistoryView(
+        path, document).record_dicts()
+    return document
 
 
 def restore_search_session(document: Dict[str, object], session) -> None:

@@ -61,7 +61,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config.space import ConfigSpace
 from repro.platform.history import TrialRecord
 from repro.vm.failures import FailureStage
 
@@ -404,29 +403,6 @@ def open_payload_reader(path: str,
     return BlockPayloadReader(path, blocks)
 
 
-def read_payloads(path: str, columns: np.ndarray,
-                  blocks: Optional[Sequence[Dict[str, int]]] = None
-                  ) -> List[Dict[str, object]]:
-    """Decode the sidecar lines referenced by *columns* (one dict per row)."""
-    if len(columns) == 0:
-        return []
-    end = int(columns["payload_offset"][-1] + columns["payload_length"][-1])
-    blob = open_payload_reader(path, blocks).read_prefix(end)
-    payloads = []
-    for offset, length in zip(columns["payload_offset"], columns["payload_length"]):
-        payloads.append(json.loads(blob[int(offset):int(offset + length)]))
-    return payloads
-
-
-def read_record_dicts(columns_path: str, payloads_path: str, count: int,
-                      blocks: Optional[Sequence[Dict[str, int]]] = None
-                      ) -> List[Dict[str, object]]:
-    """Load the first *count* trials as ``record_to_dict``-shaped dicts."""
-    columns = open_columns(columns_path, count)
-    payloads = read_payloads(payloads_path, columns, blocks)
-    return [row_to_dict(row, payload) for row, payload in zip(columns, payloads)]
-
-
 class ColumnarHistoryView:
     """Lazy zero-copy view over one stored history/checkpoint document.
 
@@ -458,6 +434,11 @@ class ColumnarHistoryView:
         return self._document
 
     def _sidecar_path(self, key: str) -> str:
+        """Resolve a sidecar reference next to the manifest itself.
+
+        Only the basename counts, so a results directory (or an archived
+        copy of a manifest inside it) stays relocatable as a unit.
+        """
         name = self._document.get(key)
         if not isinstance(name, str) or not name:
             raise ValueError(
@@ -526,11 +507,21 @@ class ColumnarHistoryView:
         return row_to_dict(self.columns[position], self.payload(position))
 
     def record_dicts(self) -> List[Dict[str, object]]:
-        """All trials as dicts — the materializing path."""
+        """All trials as dicts — the one path that materializes rows.
+
+        The referenced payload prefix is decompressed in one pass, so a
+        full read costs each block one decompression.
+        """
         columns = self.columns
-        payloads = read_payloads(
-            self._sidecar_path("trial_payloads"), columns,
-            self._document.get("payload_blocks"))
+        payloads_path = self._sidecar_path("trial_payloads")
+        if len(columns) == 0:
+            return []
+        end = int(columns["payload_offset"][-1] + columns["payload_length"][-1])
+        blob = open_payload_reader(
+            payloads_path, self._document.get("payload_blocks")).read_prefix(end)
+        payloads = [json.loads(blob[int(offset):int(offset + length)])
+                    for offset, length in zip(columns["payload_offset"],
+                                              columns["payload_length"])]
         return [row_to_dict(row, payload)
                 for row, payload in zip(columns, payloads)]
 
@@ -585,6 +576,9 @@ class TrialStoreWriter:
             self._columns.seek(0)
             check_header(self._columns.read(HEADER_SIZE), self.columns_path)
         if created:
+            # local import: results.py imports this module at load time.
+            from repro.platform.results import _fsync_directory
+
             _fsync_directory(self.columns_path)
         # a torn append leaves complete rows then a partial one; the floor
         # division drops the partial tail, and every complete row is durable
@@ -726,45 +720,3 @@ class TrialStoreWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def record_dicts_to_records(entries: Sequence[Dict[str, object]],
-                            space: ConfigSpace) -> List[TrialRecord]:
-    """Rebuild :class:`TrialRecord` objects against *space* (values coerced)."""
-    # local import: results.py already imports this module's readers.
-    from repro.platform.results import record_from_dict
-
-    return [record_from_dict(entry, space) for entry in entries]
-
-
-def _fsync_directory(path: str) -> None:
-    try:
-        fd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def training_views(columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Zero-copy (objective, crashed) training views over mapped columns.
-
-    ``objective`` is float64 with NaN for trials that have none (crashes),
-    ``crashed`` a boolean view — the same contract as
-    :meth:`ExplorationHistory.training_arrays`, served straight from the
-    mapping without materializing records.
-    """
-    objective = columns["objective"]
-    crashed = columns["crashed"].view(np.bool_)
-    return objective, crashed
-
-
-def payload_files_for(columns_path: str) -> Optional[str]:
-    """The conventional sidecar path for *columns_path* (``.bin`` → ``.jsonl``)."""
-    if columns_path.endswith(".bin"):
-        return columns_path[:-len(".bin")] + ".jsonl"
-    return None

@@ -178,7 +178,7 @@ class UnicornSearch(SearchAlgorithm):
 
     def _encode(self, configuration: Configuration) -> np.ndarray:
         """Naive per-parameter encoding, preserved for the cost profile."""
-        return self.encoder.encode_reference(configuration)
+        return self.encoder.encode_per_parameter(configuration)
 
     def observe(self, record: TrialRecord) -> None:
         vector = self._encode(record.configuration)

@@ -25,6 +25,7 @@ from repro.platform.campaign_runner import (
 from repro.platform.results import ResultsStore
 
 from tests.conftest import SMALL_SPACE_OPTIONS
+from tests.oracles import history_document
 
 #: the 2-app x 2-algorithm x 1-seed grid the determinism tests pin.
 GRID_BASE = {"metric": "auto", "iterations": 5,
@@ -313,17 +314,21 @@ class TestCampaignRunner:
                                                           tmp_path):
         from repro.platform.faults import RetryPolicy
 
+        # the redis point passes validation but freezes a parameter its
+        # space does not have: a deterministic failure at run time
         campaign = CampaignSpec(
-            name="flaky", applications=["nginx", "bogus-app"],
-            algorithms=["random"], seeds=[0], base=GRID_BASE)
+            name="flaky", applications=["nginx", "redis"],
+            algorithms=["random"], seeds=[0], base=GRID_BASE,
+            overrides=[{"match": {"application": "redis"},
+                        "set": {"frozen": {"bogus.option": 1}}}])
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.001)
         result = CampaignRunner(campaign, str(tmp_path), procs=procs,
                                 retry=retry).run()
         assert not result.ok
         assert [e["name"] for e in result.completed] == ["flaky-nginx-random-s0"]
         (failure,) = result.failed
-        assert failure["name"] == "flaky-bogus-app-random-s0"
-        assert "bogus-app" in failure["error"]
+        assert failure["name"] == "flaky-redis-random-s0"
+        assert "bogus.option" in failure["error"]
         # a deterministic failure is retried max_attempts times and then
         # quarantined, with the attempts and error kept in the manifest
         assert result.quarantined == result.failed
@@ -386,7 +391,7 @@ class TestCampaignReport:
 
         results = load_campaign(reference_dir)
         for entry in results.completed:
-            document = results.document(entry["name"])
+            document = history_document(results, entry["name"])
             assert document["summary"]["trials"] == entry["summary"]["trials"]
             assert document["summary"]["best_objective"] == \
                 entry["summary"]["best_objective"]

@@ -69,28 +69,6 @@ class TestEncodeDecode:
         assert encoder.distance(default, other) > 0.0
 
 
-class TestNormalization:
-    def test_normalize_identity_before_fit(self, encoder, default_configuration):
-        vector = encoder.encode(default_configuration).reshape(1, -1)
-        assert np.allclose(encoder.normalize(vector), vector)
-
-    def test_fit_and_normalize(self, encoder, small_space, rng):
-        configs = [small_space.sample_configuration(rng) for _ in range(64)]
-        matrix = encoder.encode_batch(configs)
-        encoder.fit_normalization(matrix)
-        normalized = encoder.normalize(matrix)
-        stds = normalized.std(axis=0)
-        varying = matrix.std(axis=0) > 1e-12
-        assert np.allclose(normalized.mean(axis=0)[varying], 0.0, atol=1e-9)
-        assert np.allclose(stds[varying], 1.0, atol=1e-9)
-
-    def test_fit_rejects_empty_or_wrong_shape(self, encoder):
-        with pytest.raises(ValueError):
-            encoder.fit_normalization(np.empty((0, encoder.width)))
-        with pytest.raises(ValueError):
-            encoder.fit_normalization(np.zeros((3, encoder.width + 2)))
-
-
 class TestDissimilarity:
     def test_unknown_history_gives_max_dissimilarity(self, encoder, default_configuration):
         vector = encoder.encode(default_configuration)

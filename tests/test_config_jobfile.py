@@ -232,6 +232,7 @@ class TestJobFile:
         ("time_budget_s", "1h"),
         ("os_name", 5),
         ("frozen", ["a"]),
+        ("application", "nosuchapp"),
     ])
     def test_fields_validate_like_the_spec(self, tmp_path, capsys, field, value):
         """One bad field gives one message on every input surface: the spec,
@@ -250,7 +251,10 @@ class TestJobFile:
 
         with pytest.raises(ValueError, match=exactly):
             JobFile.from_dict({"job": {field: value}, "parameters": []})
-        if field != "seed":  # a campaign's seeds are its own axis
+        if field == "application":  # a campaign sweeps it as an axis
+            with pytest.raises(ValueError, match=exactly):
+                CampaignSpec.from_dict({"name": "c", "applications": [value]})
+        elif field != "seed":  # a campaign's seeds are its own axis
             with pytest.raises(ValueError, match=exactly):
                 CampaignSpec.from_dict({"name": "c", "base": {field: value}})
         service = TuningService(str(tmp_path / "service"), workers=1)

@@ -15,7 +15,7 @@ from repro.deeptune.importance import (
 )
 from repro.deeptune.model import DeepTuneModel
 from repro.deeptune.scoring import dissimilarity, exploration_score, score_candidates
-from repro.deeptune.transfer import load_model_state, save_model_state, transfer_model
+from repro.deeptune.transfer import transfer_model
 
 
 
@@ -262,18 +262,6 @@ class TestTransfer:
         assert target.observation_count == 0
         assert np.allclose(target.dense1.weights, source.dense1.weights)
         assert not target.target_scaler.is_fitted
-
-    def test_save_and_load(self, tmp_path):
-        model = DeepTuneModel(input_dim=5, seed=9)
-        model.add_observation(np.ones(5), 2.0, False)
-        model.add_observation(np.zeros(5), 1.0, False)
-        model.fit_incremental(steps=5)
-        path = str(tmp_path / "dtm.npz")
-        save_model_state(model, path)
-        restored = load_model_state(path)
-        probe = np.random.default_rng(0).random((3, 5))
-        assert np.allclose(restored.predict(probe).performance,
-                           model.predict(probe).performance)
 
 
 class TestImportance:

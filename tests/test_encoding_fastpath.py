@@ -1,7 +1,7 @@
 """Equivalence and cache-correctness tests for the vectorized encoding plan.
 
 The compiled columnar fast path behind ``ConfigEncoder.encode_batch`` must be
-*bit-identical* to the reference per-parameter path (``encode_reference``)
+*bit-identical* to the naive per-parameter path (``encode_per_parameter``)
 on every application space shipped with the reproduction, and the LRU vector
 cache must be invisible: cached vectors are copies, eviction never changes
 results, and a seeded end-to-end DeepTune search selects the same
@@ -47,7 +47,7 @@ def os_spaces():
 
 
 def reference_matrix(encoder, configurations):
-    return np.vstack([encoder.encode_reference(c) for c in configurations]) \
+    return np.vstack([encoder.encode_per_parameter(c) for c in configurations]) \
         if configurations else np.empty((0, encoder.width))
 
 
@@ -101,7 +101,7 @@ class TestBatchEquivalence:
         for _ in range(10):
             configuration = space.sample_configuration(rng)
             assert np.array_equal(encoder.encode(configuration),
-                                  encoder.encode_reference(configuration))
+                                  encoder.encode_per_parameter(configuration))
 
     def test_custom_parameter_subclass_uses_fallback(self):
         class HalfParameter(IntParameter):
@@ -119,7 +119,7 @@ class TestBatchEquivalence:
         configuration = space.coerce({"custom": 6, "flag": True})
         vector = encoder.encode_batch([configuration])[0]
         assert vector[0] == 6 / 20.0
-        assert np.array_equal(vector, encoder.encode_reference(configuration))
+        assert np.array_equal(vector, encoder.encode_per_parameter(configuration))
 
     def test_tristate_subclass_with_custom_states(self):
         class SwitchParameter(TristateParameter):
@@ -134,7 +134,7 @@ class TestBatchEquivalence:
         encoder = ConfigEncoder(space)
         configuration = space.coerce({"mode": "auto", "flag": False})
         vector = encoder.encode_batch([configuration])[0]
-        assert np.array_equal(vector, encoder.encode_reference(configuration))
+        assert np.array_equal(vector, encoder.encode_per_parameter(configuration))
         assert vector[:3].tolist() == [0.0, 0.0, 1.0]
 
     def test_decode_roundtrip(self, os_spaces):
@@ -169,7 +169,7 @@ class TestVectorCache:
         first = encoder.encode(configuration)
         first[:] = 777.0  # mutate the returned vector
         second = encoder.encode(configuration)
-        assert np.array_equal(second, encoder.encode_reference(configuration))
+        assert np.array_equal(second, encoder.encode_per_parameter(configuration))
         assert not np.array_equal(first, second)
 
     def test_batch_rows_are_copies(self):
@@ -179,7 +179,7 @@ class TestVectorCache:
         matrix = encoder.encode_batch(configurations)
         matrix[:] = -123.0
         clean = encoder.encode_batch(configurations)
-        assert np.array_equal(clean[0], encoder.encode_reference(configurations[0]))
+        assert np.array_equal(clean[0], encoder.encode_per_parameter(configurations[0]))
 
     def test_cache_hit_accounting_and_eviction(self):
         space = self.make_space()

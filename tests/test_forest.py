@@ -1,5 +1,7 @@
 """Tests for the from-scratch random-forest regressor and its importances."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,11 @@ from repro.deeptune.forest import (
     RandomForestRegressor,
     RegressionTree,
     forest_parameter_importance,
+)
+from tests.oracles import (
+    best_split_reference,
+    forest_predict_reference,
+    tree_predict_reference,
 )
 
 
@@ -85,13 +92,40 @@ class TestRandomForest:
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.ones((1, 2)))
 
+    def test_fitted_output_is_pinned(self):
+        """Importances, OOB score and predictions of a fixed fit, bit for bit.
+
+        A change to how trees are grown must keep the node order and the
+        RNG draw order, or these digests move.
+        """
+        rng = np.random.default_rng(2024)
+        X = rng.random((240, 7))
+        X[:, 3] = np.round(X[:, 3] * 4) / 4.0
+        y = (6.0 * X[:, 0] - 3.0 * X[:, 3] ** 2 + np.sin(5.0 * X[:, 4])
+             + rng.normal(0, 0.2, 240))
+        forest = RandomForestRegressor(n_trees=12, max_depth=6,
+                                       min_samples_leaf=2,
+                                       feature_fraction=0.5, seed=31).fit(X, y)
+        queries = rng.random((100, 7))
+
+        def digest(values):
+            return hashlib.sha256(np.ascontiguousarray(
+                values, dtype=np.float64).tobytes()).hexdigest()
+
+        assert digest(forest.feature_importances_) == (
+            "f6a08013513ef4d86ca8b0e33f18d3d761c27e7e31bfc6ec53a7ff4fe37a6a20")
+        assert digest([forest.oob_score_]) == (
+            "2206f993c4edfe2f0fd448e3eb8666ff01b8f1341b64517bbd812b3ada1a2e3e")
+        assert digest(forest.predict(queries)) == (
+            "cef394b480b091d99972fc31f897e511d818532ced5604346e9a1a3dae387dec")
+
 
 class TestVectorizedEquivalence:
     """The vectorized hot paths must be bit-identical to their scalar oracles.
 
-    ``_best_split`` and ``predict`` were vectorized for the million-trial
-    scoring tier with the original implementations retained as references;
-    these fixtures sweep randomized shapes, constant targets, and
+    ``_best_split`` and ``predict`` are vectorized for the million-trial
+    scoring tier; the scalar forms they replace live in ``tests/oracles.py``.
+    These fixtures sweep randomized shapes, constant targets, and
     duplicate-value columns (the tie-breaking traps) and require exact
     float64 equality — not approx — because a checkpoint-resumed run must
     reproduce the uninterrupted one bit for bit.
@@ -111,7 +145,7 @@ class TestVectorizedEquivalence:
         tree = RegressionTree(min_samples_leaf=int(rng.integers(1, 4)))
         columns = np.arange(d)
         assert (tree._best_split(X, y, columns)
-                == tree._best_split_reference(X, y, columns))
+                == best_split_reference(tree, X, y, columns))
 
     def test_best_split_constant_target_and_degenerate_shapes(self):
         rng = np.random.default_rng(9)
@@ -120,7 +154,7 @@ class TestVectorizedEquivalence:
         tree = RegressionTree(min_samples_leaf=2)
         columns = np.arange(3)
         assert (tree._best_split(X, constant, columns)
-                == tree._best_split_reference(X, constant, columns))
+                == best_split_reference(tree, X, constant, columns))
         # too few samples for any valid split point
         tiny = rng.random((3, 3))
         tiny_targets = rng.normal(0, 1, 3)
@@ -131,8 +165,8 @@ class TestVectorizedEquivalence:
         flat = np.ones((10, 1))
         flat_targets = rng.normal(0, 1, 10)
         assert (tree._best_split(flat, flat_targets, np.array([0]))
-                == tree._best_split_reference(flat, flat_targets,
-                                              np.array([0])))
+                == best_split_reference(tree, flat, flat_targets,
+                                        np.array([0])))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tree_predict_matches_reference(self, seed):
@@ -146,16 +180,16 @@ class TestVectorizedEquivalence:
                               min_samples_leaf=int(rng.integers(1, 4)),
                               rng=rng).fit(X, y)
         queries = rng.random((64, d))
-        exact = tree.predict_reference(queries)
+        exact = tree_predict_reference(tree, queries)
         assert np.array_equal(tree.predict(queries), exact)
         # single-row and 1-D query shapes agree too
         assert np.array_equal(tree.predict(queries[0]),
-                              tree.predict_reference(queries[0]))
+                              tree_predict_reference(tree, queries[0]))
 
     def test_tree_predict_constant_target(self):
         X = np.random.default_rng(3).random((30, 4))
         tree = RegressionTree().fit(X, np.full(30, 7.0))
-        assert np.array_equal(tree.predict(X), tree.predict_reference(X))
+        assert np.array_equal(tree.predict(X), tree_predict_reference(tree, X))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_forest_predict_matches_reference(self, seed):
@@ -163,7 +197,7 @@ class TestVectorizedEquivalence:
         forest = RandomForestRegressor(n_trees=12, seed=seed).fit(X, y)
         queries = np.random.default_rng(seed + 50).random((80, X.shape[1]))
         assert np.array_equal(forest.predict(queries),
-                              forest.predict_reference(queries))
+                              forest_predict_reference(forest, queries))
 
 
 class TestForestParameterImportance:

@@ -101,7 +101,7 @@ class TestHistoryIncrementalIndexes:
         assert matrix.shape == (100, encoder.width)
         for row, record in enumerate(history):
             assert np.array_equal(matrix[row],
-                                  encoder.encode_reference(record.configuration))
+                                  encoder.encode_per_parameter(record.configuration))
             if record.crashed:
                 assert np.isnan(objectives[row])
                 assert crashed[row]

@@ -11,6 +11,7 @@ from repro.platform.results import (
     ResultsStore,
     cleanup_stale_tmp_files,
     load_checkpoint_file,
+    load_history_document,
     open_history_view,
     record_from_dict,
     record_to_dict,
@@ -113,6 +114,23 @@ class TestResultsStore:
         _set_format_version(checkpoint, version)
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             load_checkpoint_file(checkpoint)
+
+    def test_every_reader_resolves_sidecar_names_alike(self, tmp_path):
+        # a manifest whose sidecar names carry a directory part: every
+        # reader takes the basename next to the manifest, so all three
+        # return the same rows rather than one of them failing to open
+        TestCrashSafety()._checkpointed_store(tmp_path, iterations=5)
+        path = ResultsStore(str(tmp_path)).checkpoint_path("crash")
+        with open(path) as handle:
+            document = json.load(handle)
+        for key in ("trial_columns", "trial_payloads"):
+            document[key] = "elsewhere/" + document[key]
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        viewed = open_history_view(path).record_dicts()
+        assert len(viewed) == 5
+        assert load_history_document(path)["records"] == viewed
+        assert load_checkpoint_file(path)["records"] == viewed
 
 
 def _set_format_version(path, version):

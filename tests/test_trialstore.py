@@ -19,17 +19,34 @@ import pytest
 from repro.config.space import Configuration
 from repro.platform import trialstore
 from repro.platform.history import TrialRecord
-from repro.platform.results import ResultsStore, record_to_dict
+from repro.platform.results import ResultsStore, record_from_dict, record_to_dict
 from repro.platform.trialstore import (
     HEADER_SIZE,
     TRIAL_DTYPE,
+    ColumnarHistoryView,
     TrialStoreWriter,
     open_columns,
-    read_record_dicts,
 )
 from repro.vm.failures import FailureStage
 
 from tests.conftest import SMALL_SPACE_OPTIONS
+
+
+def view_over(columns_path, payloads_path, count, blocks=None):
+    """A :class:`ColumnarHistoryView` over two sidecars, as a manifest next
+    to them referencing their first *count* rows would open it."""
+    document = {"trials": count,
+                "trial_columns": os.path.basename(columns_path),
+                "trial_payloads": os.path.basename(payloads_path)}
+    if blocks is not None:
+        document["payload_blocks"] = blocks
+    manifest_path = os.path.join(os.path.dirname(columns_path), "m.json")
+    return ColumnarHistoryView(manifest_path, document)
+
+
+def read_record_dicts(columns_path, payloads_path, count, blocks=None):
+    """The first *count* stored rows, materialized through the view."""
+    return view_over(columns_path, payloads_path, count, blocks).record_dicts()
 
 
 def random_record(space, rng, index):
@@ -72,7 +89,7 @@ class TestRoundTrip:
         assert json.dumps(loaded, sort_keys=True) \
             == json.dumps([record_to_dict(r) for r in records], sort_keys=True)
         # the dict shapes rebuild into records with identical field values
-        rebuilt = trialstore.record_dicts_to_records(loaded, small_space)
+        rebuilt = [record_from_dict(entry, small_space) for entry in loaded]
         for original, copy in zip(records, rebuilt):
             assert copy.configuration == original.configuration
             assert copy.crashed == original.crashed
@@ -96,7 +113,8 @@ class TestRoundTrip:
         columns = open_columns(columns_path, 20)
         assert isinstance(columns, np.memmap)
         assert not columns.flags.writeable
-        objective, crashed = trialstore.training_views(columns)
+        view = view_over(columns_path, str(tmp_path / "z.trials.jsonl"), 20)
+        objective, crashed = view.objective, view.crashed
         assert objective.base is not None  # a view, not a copy
         for i, record in enumerate(records):
             if record.objective is not None and not math.isnan(record.objective):
