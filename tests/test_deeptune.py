@@ -99,6 +99,23 @@ class TestDeepTuneModel:
         with pytest.raises(ValueError):
             model.add_observation(np.ones(5), 1.0, False)
 
+    def test_feature_scaler_zscores_encoded_configurations(self, small_space, rng):
+        # the encoder stops at [0, 1] columns; z-scoring them for the RBF
+        # branch is the model's feature scaler's job
+        encoder = ConfigEncoder(small_space)
+        matrix = encoder.encode_batch(
+            [small_space.sample_configuration(rng) for _ in range(64)])
+        model = DeepTuneModel(input_dim=encoder.width, seed=2)
+        for index, row in enumerate(matrix):
+            model.add_observation(row, float(index), False)
+        model.fit_incremental(steps=1)
+        scaled = model.feature_scaler.transform(matrix)
+        varying = matrix.std(axis=0) > 1e-12
+        assert np.allclose(scaled.mean(axis=0)[varying], 0.0, atol=1e-9)
+        assert np.allclose(scaled.std(axis=0)[varying], 1.0, atol=1e-9)
+        # constant columns are centred, not divided by zero
+        assert np.allclose(scaled[:, ~varying], 0.0)
+
     def test_state_dict_roundtrip(self):
         model = DeepTuneModel(input_dim=6, seed=4)
         X, y, crashed = make_synthetic_dataset(n=40, d=6)
@@ -262,6 +279,25 @@ class TestTransfer:
         assert target.observation_count == 0
         assert np.allclose(target.dense1.weights, source.dense1.weights)
         assert not target.target_scaler.is_fitted
+
+    def test_state_dict_is_a_snapshot(self):
+        model = DeepTuneModel(input_dim=5, seed=9)
+        X, y, crashed = make_synthetic_dataset(n=30, d=5)
+        for row, target, crash in zip(X, y, crashed):
+            model.add_observation(row, None if np.isnan(target) else target, bool(crash))
+        model.fit_incremental(steps=5)
+        probe = np.random.default_rng(0).random((3, 5))
+        before = model.predict(probe)
+        state = model.state_dict()
+        # training on after the snapshot leaves the snapshot untouched, so
+        # loading it back restores the earlier predictions exactly
+        model.fit_incremental(steps=5)
+        assert not np.array_equal(model.predict(probe).performance,
+                                  before.performance)
+        model.load_state_dict(state)
+        restored = model.predict(probe)
+        assert np.array_equal(restored.performance, before.performance)
+        assert np.array_equal(restored.crash_probability, before.crash_probability)
 
 
 class TestImportance:
