@@ -8,7 +8,7 @@ that property at the implementation level and tracks it across PRs:
   space must be at least 5x faster than the per-configuration reference path
   (and bit-identical to it — correctness is asserted in
   ``tests/test_encoding_fastpath.py``);
-* DeepTune's propose+observe CPU time over a long run must not grow: the median
+* DeepTune's propose+observe time over a long run must not grow: the median
   of the last quartile of iterations is bounded by 1.5x the median of the
   first quartile;
 * the Unicorn baseline must *keep* its deliberately super-linear cost profile
@@ -223,10 +223,7 @@ def test_deeptune_per_iteration_flat():
     gc.disable()
     try:
         for index in range(FLAT_TRIALS):
-            # Process CPU time, not wall time: the property is the loop's own
-            # cost, and a neighbour's load arriving mid-run would otherwise
-            # inflate one quartile and not the other.
-            started = time.process_time()
+            started = time.perf_counter()
             configuration = search.propose(history)
             record = TrialRecord(
                 index=index, configuration=configuration,
@@ -237,7 +234,7 @@ def test_deeptune_per_iteration_flat():
             clock += 60.0
             history.add(record)
             search.observe(record)
-            times.append(time.process_time() - started)
+            times.append(time.perf_counter() - started)
     finally:
         if gc_was_enabled:
             gc.enable()

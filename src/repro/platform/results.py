@@ -104,21 +104,6 @@ def decode_state(text: str) -> object:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
 
 
-def _fsync_directory(path: str) -> None:
-    """Best-effort fsync of the directory holding *path* (durable renames)."""
-    try:
-        fd = os.open(os.path.dirname(os.path.abspath(path)) or ".",
-                     os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 def atomic_write_text(path: str, text: str) -> str:
     """Crash-safely replace *path* with *text*.
 
@@ -134,7 +119,7 @@ def atomic_write_text(path: str, text: str) -> str:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(staging, path)
-    _fsync_directory(path)
+    trialstore._fsync_directory(path)
     return path
 
 
@@ -146,7 +131,7 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(staging, path)
-    _fsync_directory(path)
+    trialstore._fsync_directory(path)
     return path
 
 
@@ -346,7 +331,7 @@ class ResultsStore:
         if os.path.exists(path):
             os.replace(path, backup)
         os.replace(staging, path)
-        _fsync_directory(path)
+        trialstore._fsync_directory(path)
         return path
 
     def load_checkpoint(self, name: str) -> Dict[str, object]:

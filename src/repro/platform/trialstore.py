@@ -576,9 +576,6 @@ class TrialStoreWriter:
             self._columns.seek(0)
             check_header(self._columns.read(HEADER_SIZE), self.columns_path)
         if created:
-            # local import: results.py imports this module at load time.
-            from repro.platform.results import _fsync_directory
-
             _fsync_directory(self.columns_path)
         # a torn append leaves complete rows then a partial one; the floor
         # division drops the partial tail, and every complete row is durable
@@ -720,3 +717,18 @@ class TrialStoreWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _fsync_directory(path: str) -> None:
+    """Best-effort fsync of the directory holding *path* (durable renames)."""
+    try:
+        fd = os.open(os.path.dirname(os.path.abspath(path)) or ".",
+                     os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)

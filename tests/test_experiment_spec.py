@@ -45,13 +45,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(**kwargs)
 
-    def test_unknown_application_rejected_like_an_unknown_algorithm(self):
+    def test_unknown_application_rejected(self):
         with pytest.raises(ValueError,
                            match=r"^unknown application 'nosuchapp'; available: .*nginx"):
             ExperimentSpec(application="nosuchapp")
-        with pytest.raises(ValueError,
-                           match=r"^unknown algorithm 'magic'; available: .*deeptune"):
-            ExperimentSpec(algorithm="magic")
 
     def test_explicit_none_favor_differs_from_unspecified(self):
         assert ExperimentSpec(favor=None).favor is None
