@@ -15,7 +15,8 @@ report different views of the same data instead of re-running the search.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+import time
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -60,12 +61,32 @@ def linux_wayfinder(application: str, algorithm: str, seed: int = 101,
     )
 
 
+def time_observe(algorithm) -> List[float]:
+    """Wrap *algorithm*'s ``observe`` so each call's wall time is recorded.
+
+    Returns the list the per-call seconds are appended to: the Figure 8
+    model-update time (encoding the trial, updating the replay buffer and
+    the bounded incremental training run).
+    """
+    times: List[float] = []
+    observe = algorithm.observe
+
+    def timed_observe(record):
+        started = time.perf_counter()
+        observe(record)
+        times.append(time.perf_counter() - started)
+
+    algorithm.observe = timed_observe
+    return times
+
+
 def run_fig6_sessions() -> Dict:
     """Run (once) the random / DeepTune / DeepTune+TL sessions for every app.
 
     Returns a mapping ``app -> {"random": SearchResult, "deeptune": SearchResult,
-    "tl": SearchResult, "wayfinder": Wayfinder, "tl_wayfinder": Wayfinder}`` plus
-    the Redis-pretrained model under the key ``"pretrained_model"``.
+    "tl": SearchResult, "wayfinder": Wayfinder, "tl_wayfinder": Wayfinder,
+    "update_times_s": [seconds per DeepTune observe]}`` plus the
+    Redis-pretrained model under the key ``"pretrained_model"``.
     """
     global _fig6_cache
     if _fig6_cache is not None:
@@ -88,6 +109,7 @@ def run_fig6_sessions() -> Dict:
             .specialize(iterations=iterations)
 
         deeptune_wayfinder = linux_wayfinder(application, "deeptune", seed=seed)
+        update_times_s = time_observe(deeptune_wayfinder.algorithm)
         deeptune_result = deeptune_wayfinder.specialize(iterations=iterations)
 
         tl_wayfinder = linux_wayfinder(
@@ -102,6 +124,7 @@ def run_fig6_sessions() -> Dict:
             "tl": tl_result,
             "wayfinder": deeptune_wayfinder,
             "tl_wayfinder": tl_wayfinder,
+            "update_times_s": update_times_s,
         }
     _fig6_cache = results
     return results

@@ -4,8 +4,9 @@ The paper shows that an iteration of the search loop is dominated by
 evaluating the configuration (building, booting and benchmarking: 60-80 s on
 their testbed) while a DeepTune model update takes well under a second.  The
 reproduction reports the same breakdown: the measured (real) per-iteration
-model-update time of the cached DeepTune sessions against the simulated
-evaluation time per application.
+model-update time of the cached DeepTune sessions (the wall time of each
+``observe`` call, recorded by ``benchmarks/conftest.py``) against the
+simulated evaluation time per application.
 """
 
 import numpy as np
@@ -19,9 +20,8 @@ def collect_breakdown():
     sessions = run_fig6_sessions()
     rows = {}
     for application in LINUX_APPLICATIONS:
-        wayfinder = sessions[application]["wayfinder"]
         result = sessions[application]["deeptune"]
-        update_times = wayfinder.algorithm.update_times_s
+        update_times = sessions[application]["update_times_s"]
         evaluation_times = [record.duration_s for record in result.history]
         rows[application] = {
             "update_mean_s": float(np.mean(update_times)),

@@ -463,7 +463,6 @@ class _StoreSession:
         self.history = history
         self.algorithm = self._State()
         self.backend = self._State()
-        self.search_overhead_s = 0.0
         self.batches_run = 0
         self.checkpoint_every = 1
 

@@ -209,8 +209,10 @@ def _parse_block(lines: List[Tuple[int, str]], start: int, indent: int) -> Tuple
                     lines, index, sibling_indent, {key: child})
                 container.append(item)
                 continue
-            if ": " in payload:
-                # inline mapping item: subsequent deeper lines extend the mapping
+            if ": " in payload and not payload.startswith('"'):
+                # inline mapping item (keys are never quoted, so a quoted
+                # payload is a string scalar): subsequent deeper lines extend
+                # the mapping
                 item, index = _parse_list_item_mapping(lines, index, indent, payload)
                 container.append(item)
                 continue

@@ -15,7 +15,6 @@ regions in play — the exploration/exploitation balance the paper discusses.
 from __future__ import annotations
 
 import copy
-import time
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from repro.config.encoding import ConfigEncoder
 from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.deeptune.model import DeepTuneModel
-from repro.nn.buffers import ensure_row_capacity
 from repro.deeptune.scoring import score_candidates
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.search.base import SearchAlgorithm
@@ -34,7 +32,6 @@ class DeepTuneSearch(SearchAlgorithm):
     """The DeepTune optimization algorithm (§3.2)."""
 
     name = "deeptune"
-    batch_native = True
 
     def __init__(
         self,
@@ -83,18 +80,13 @@ class DeepTuneSearch(SearchAlgorithm):
         #: set by the front-end that injected a pre-trained model; surfaced
         #: in run summaries and campaign reports.  None for cold starts.
         self.provenance: Optional[dict] = None
+        # The model's replay buffer is the one record of observed vectors;
+        # rows a pre-trained model brought in are not this search's
+        # explored set, so dissimilarity scoring skips them.
+        self._own_rows_start = self.model.observation_count
 
-        # Observed encoded vectors, kept in a preallocated matrix grown by
-        # amortized doubling: propose() reads a slice view instead of
-        # re-stacking a list of rows every iteration.
-        self._observed_matrix = np.empty((0, self.encoder.width), dtype=np.float64)
-        self._observed_count = 0
         self._best_configurations: List[Configuration] = []
         self._best_objectives: List[float] = []
-        #: seconds of model update time per iteration (Figure 8).
-        self.update_times_s: List[float] = []
-        #: seconds spent proposing (prediction + scoring) per iteration.
-        self.proposal_times_s: List[float] = []
 
     # -- candidate generation -------------------------------------------------------
     def _generate_candidates(self, history: ExplorationHistory) -> List[Configuration]:
@@ -138,7 +130,7 @@ class DeepTuneSearch(SearchAlgorithm):
         matrix = self.encoder.encode_batch(candidates)
         prediction = self.model.predict(matrix)
 
-        known = self._observed_matrix[:self._observed_count]
+        known = self.model.replay_features(self._own_rows_start)
         scores = score_candidates(
             candidates=self.model.feature_scaler.transform(matrix),
             known=self.model.feature_scaler.transform(known) if known.size else known,
@@ -159,7 +151,6 @@ class DeepTuneSearch(SearchAlgorithm):
         if not ready:
             return self.sampler.sample_unique(history, exclude=in_flight)
 
-        started = time.perf_counter()
         candidates, scores = self._score_pool(history)
         # Stable descending order: with nothing in flight the first pick is
         # exactly the historical argmax candidate; otherwise the best-ranked
@@ -172,7 +163,6 @@ class DeepTuneSearch(SearchAlgorithm):
                 break
         if choice is None:
             choice = self.sampler.sample_unique(history, exclude=in_flight)
-        self.proposal_times_s.append(time.perf_counter() - started)
         return choice
 
     def propose_batch(self, history: ExplorationHistory, k: int) -> List[Configuration]:
@@ -190,7 +180,6 @@ class DeepTuneSearch(SearchAlgorithm):
         if not ready:
             return self.sampler.sample_batch_unique(history, k)
 
-        started = time.perf_counter()
         candidates, scores = self._score_pool(history)
         # skip_explored=False mirrors propose(): the pool is already
         # best-effort deduplicated by _generate_candidates, and the argmax
@@ -199,25 +188,15 @@ class DeepTuneSearch(SearchAlgorithm):
             (candidates[int(index)]
              for index in np.argsort(-scores, kind="stable")),
             history, k, skip_explored=False)
-        self.proposal_times_s.append(time.perf_counter() - started)
         return batch
 
-    def _append_observed(self, vector: np.ndarray) -> None:
-        self._observed_matrix = ensure_row_capacity(
-            self._observed_matrix, self._observed_count + 1)
-        self._observed_matrix[self._observed_count] = vector
-        self._observed_count += 1
-
     def observe(self, record: TrialRecord) -> None:
-        started = time.perf_counter()
         vector = self.encoder.encode(record.configuration)
-        self._append_observed(vector)
         self.model.add_observation(vector, record.objective, record.crashed)
         self._track_best(record)
         self.model.fit_incremental(
             steps=self.training_steps_per_iteration, batch_size=self.batch_size
         )
-        self.update_times_s.append(time.perf_counter() - started)
 
     # -- checkpointing ----------------------------------------------------------------------
     def export_state(self) -> dict:
@@ -233,11 +212,8 @@ class DeepTuneSearch(SearchAlgorithm):
         state["model"] = copy.deepcopy(self.model)
         state["transferred"] = self.transferred
         state["provenance"] = copy.deepcopy(self.provenance)
-        state["observed_matrix"] = self._observed_matrix[:self._observed_count].copy()
         state["best_values"] = [c.as_dict() for c in self._best_configurations]
         state["best_objectives"] = list(self._best_objectives)
-        state["update_times_s"] = list(self.update_times_s)
-        state["proposal_times_s"] = list(self.proposal_times_s)
         return state
 
     def import_state(self, state: dict) -> None:
@@ -245,26 +221,6 @@ class DeepTuneSearch(SearchAlgorithm):
         self.model = copy.deepcopy(state["model"])
         self.transferred = bool(state["transferred"])
         self.provenance = copy.deepcopy(state["provenance"])
-        observed = np.array(state["observed_matrix"], dtype=np.float64)
-        self._observed_count = observed.shape[0]
-        self._observed_matrix = ensure_row_capacity(
-            np.empty((0, self.encoder.width), dtype=np.float64),
-            max(1, self._observed_count))
-        self._observed_matrix[:self._observed_count] = observed
         self._best_configurations = [Configuration(self.space, values)
                                      for values in state["best_values"]]
         self._best_objectives = [float(value) for value in state["best_objectives"]]
-        self.update_times_s = list(state["update_times_s"])
-        self.proposal_times_s = list(state["proposal_times_s"])
-
-    # -- inspection ------------------------------------------------------------------------
-    def mean_update_time_s(self) -> float:
-        """Average model-update time per iteration (plotted in Figure 8)."""
-        if not self.update_times_s:
-            return 0.0
-        return float(np.mean(self.update_times_s))
-
-    def predicted_crash_probability(self, configuration: Configuration) -> float:
-        """Crash probability the current model assigns to *configuration*."""
-        vector = self.encoder.encode(configuration).reshape(1, -1)
-        return float(self.model.predict(vector).crash_probability[0])

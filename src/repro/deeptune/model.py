@@ -107,8 +107,6 @@ class DeepTuneModel:
         gamma1 = gamma * np.sqrt(rbf2_in)
         self.rbf2 = RBFLayer(rbf2_in, n_centroids, gamma=float(gamma1), rng=self._rng)
 
-        self._prediction_layers = [self.dense1, self.relu1, self.drop1,
-                                   self.dense2, self.relu2, self.drop2, self.head]
         self._prediction_params = [layer for layer in
                                    (self.dense1, self.dense2, self.head)]
         self.optimizer = Adam(learning_rate=learning_rate)
@@ -127,12 +125,15 @@ class DeepTuneModel:
         self._crash_buffer = np.empty(0, dtype=bool)
         self._feature_moments = RunningMoments()
         self._target_moments = RunningMoments()
-        self.training_steps = 0
 
     # -- bookkeeping --------------------------------------------------------------
     @property
     def observation_count(self) -> int:
         return self._count
+
+    def replay_features(self, start: int) -> Array:
+        """Raw feature rows of the replay buffer from row *start* on (a view)."""
+        return self._feature_buffer[start:self._count]
 
     def add_observation(self, features: Array, target: Optional[float], crashed: bool) -> None:
         """Append one observed configuration to the replay buffer.
@@ -238,7 +239,6 @@ class DeepTuneModel:
         self.rbf2.grad_centroids += grad_c2
         self.rbf_optimizer.step(self.rbf1.parameters() + self.rbf2.parameters())
 
-        self.training_steps += 1
         return {
             "cce": loss_cce,
             "regression": loss_reg,
@@ -343,16 +343,3 @@ class DeepTuneModel:
             self.target_scaler.std_ = np.array(state["target_scaler.std"])
         self.optimizer.reset()
         self.rbf_optimizer.reset()
-
-    def clone_architecture(self) -> "DeepTuneModel":
-        """A fresh model with the same architecture (weights re-initialized)."""
-        return DeepTuneModel(
-            input_dim=self.input_dim,
-            hidden_dims=self.hidden_dims,
-            n_centroids=self.n_centroids,
-            gamma=self.gamma,
-            dropout=self.dropout_rate,
-            learning_rate=self.learning_rate,
-            chamfer_weight=self.chamfer_weight,
-            seed=self.seed,
-        )

@@ -96,19 +96,18 @@ class ZooError(RuntimeError):
     """A zoo entry could not be read (corrupted, missing, incompatible)."""
 
 
-def transfer_model(source: DeepTuneModel, reset_target_scaler: bool = True) -> DeepTuneModel:
+def transfer_model(source: DeepTuneModel) -> DeepTuneModel:
     """Return a new model initialized from *source*'s trained weights.
 
     The replay buffer is *not* carried over: the new application produces its
-    own observations.  By default the target scaler is reset because the
-    objective of the new application usually lives on a different scale
-    (e.g. Redis req/s vs SQLite microseconds); the feature scaler is kept
-    since both searches encode the same configuration space.
+    own observations.  The target scaler is reset because the objective of
+    the new application usually lives on a different scale (e.g. Redis req/s
+    vs SQLite microseconds); the feature scaler is kept since both searches
+    encode the same configuration space.
     """
-    target = source.clone_architecture()
+    target = _model_from_metadata(_model_metadata(source))
     target.load_state_dict(source.state_dict())
-    if reset_target_scaler:
-        target.target_scaler = type(target.target_scaler)()
+    target.target_scaler = type(target.target_scaler)()
     return target
 
 

@@ -9,7 +9,7 @@ pieces from scratch: dense/ReLU/dropout/RBF layers with manual
 backpropagation, the three losses, the Adam optimizer and target scaling.
 """
 
-from repro.nn.layers import Dense, Dropout, Layer, RBFLayer, ReLU, Sequential
+from repro.nn.layers import Dense, Dropout, Layer, RBFLayer, ReLU
 from repro.nn.losses import (
     chamfer_distance,
     heteroscedastic_regression_loss,
@@ -24,7 +24,6 @@ __all__ = [
     "ReLU",
     "Dropout",
     "RBFLayer",
-    "Sequential",
     "Adam",
     "StandardScaler",
     "softmax_cross_entropy",

@@ -8,7 +8,7 @@ them in place.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class Layer:
     def zero_grad(self) -> None:
         for _, grad in self.parameters():
             grad.fill(0.0)
-
-    @property
-    def output_dim(self) -> Optional[int]:
-        return None
 
 
 class Dense(Layer):
@@ -65,10 +61,6 @@ class Dense(Layer):
 
     def parameters(self) -> List[Tuple[Array, Array]]:
         return [(self.weights, self.grad_weights), (self.bias, self.grad_bias)]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights.shape[1]
 
 
 class ReLU(Layer):
@@ -133,74 +125,30 @@ class RBFLayer(Layer):
         self.grad_centroids = np.zeros_like(self.centroids)
         self._inputs: Optional[Array] = None
         self._activations: Optional[Array] = None
-        self._diff: Optional[Array] = None
 
-    def _kernel(self, inputs: Array) -> Tuple[Array, Array]:
-        """Stateless Gaussian kernel: returns (diff, activations)."""
-        # diff[b, k, d] = z_b[d] - c_k[d]
-        diff = inputs[:, None, :] - self.centroids[None, :, :]
-        sq_dist = np.sum(diff ** 2, axis=2)
-        return diff, np.exp(-sq_dist / (2.0 * self.gamma ** 2))
+    def _differences(self, inputs: Array) -> Array:
+        """diff[b, k, d] = z_b[d] - c_k[d], a (batch, centroids, dim) tensor.
+
+        Only :meth:`backward` needs it, so it is recomputed there rather than
+        cached by :meth:`forward` (and carried into every model snapshot).
+        """
+        return inputs[:, None, :] - self.centroids[None, :, :]
 
     def forward(self, inputs: Array, training: bool = False) -> Array:
         self._inputs = inputs
-        self._diff, self._activations = self._kernel(inputs)
+        sq_dist = np.sum(self._differences(inputs) ** 2, axis=2)
+        self._activations = np.exp(-sq_dist / (2.0 * self.gamma ** 2))
         return self._activations
 
     def backward(self, grad_output: Array) -> Array:
-        if self._activations is None or self._diff is None:
+        if self._activations is None:
             raise RuntimeError("backward called before forward")
+        diff = self._differences(self._inputs)
         # d phi / d sq_dist = -phi / (2 gamma^2); d sq_dist / d z = 2 diff
         common = grad_output * self._activations / (self.gamma ** 2)
-        grad_inputs = -np.einsum("bk,bkd->bd", common, self._diff)
-        self.grad_centroids += np.einsum("bk,bkd->kd", common, self._diff)
+        grad_inputs = -np.einsum("bk,bkd->bd", common, diff)
+        self.grad_centroids += np.einsum("bk,bkd->kd", common, diff)
         return grad_inputs
 
     def parameters(self) -> List[Tuple[Array, Array]]:
         return [(self.centroids, self.grad_centroids)]
-
-    @property
-    def output_dim(self) -> int:
-        return self.centroids.shape[0]
-
-    def max_activation(self, inputs: Array) -> Array:
-        """Per-sample maximum centroid activation (1 = prototypical, 0 = outlier).
-
-        Computed without going through :meth:`forward`, which would clobber
-        the cached ``_inputs``/``_diff``/``_activations`` that a pending
-        :meth:`backward` still needs.
-        """
-        _, activations = self._kernel(inputs)
-        return activations.max(axis=1)
-
-
-class Sequential(Layer):
-    """A simple stack of layers applied in order."""
-
-    def __init__(self, layers: Sequence[Layer]) -> None:
-        self.layers = list(layers)
-
-    def forward(self, inputs: Array, training: bool = False) -> Array:
-        output = inputs
-        for layer in self.layers:
-            output = layer.forward(output, training=training)
-        return output
-
-    def backward(self, grad_output: Array) -> Array:
-        grad = grad_output
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def parameters(self) -> List[Tuple[Array, Array]]:
-        params: List[Tuple[Array, Array]] = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
-    @property
-    def output_dim(self) -> Optional[int]:
-        for layer in reversed(self.layers):
-            if layer.output_dim is not None:
-                return layer.output_dim
-        return None

@@ -26,10 +26,10 @@ class RunningMoments:
 
     __slots__ = ("count", "mean", "m2")
 
-    def __init__(self, dim: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.count = 0
-        self.mean: Optional[Array] = None if dim is None else np.zeros(dim)
-        self.m2: Optional[Array] = None if dim is None else np.zeros(dim)
+        self.mean: Optional[Array] = None
+        self.m2: Optional[Array] = None
 
     def update(self, row: Array) -> None:
         """Fold one observation (a flat vector) into the running moments."""
@@ -41,19 +41,6 @@ class RunningMoments:
         delta = row - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (row - self.mean)
-
-    def update_batch(self, rows: Array) -> None:
-        """Fold a (n, dim) batch row by row.
-
-        Note the 1-D convention differs from :meth:`update`: a flat array
-        here is treated as n one-dimensional observations (matching
-        ``StandardScaler.fit``), whereas ``update`` takes one dim-n row.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows.reshape(-1, 1)
-        for row in rows:
-            self.update(row)
 
     def variance(self) -> Array:
         """Population variance (ddof=0, matching ``np.std``'s default)."""
@@ -80,7 +67,6 @@ class StandardScaler:
     def __init__(self) -> None:
         self.mean_: Optional[Array] = None
         self.std_: Optional[Array] = None
-        self._moments: Optional[RunningMoments] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -96,42 +82,14 @@ class StandardScaler:
         std = data.std(axis=0)
         std[std < 1e-12] = 1.0
         self.std_ = std
-        self._moments = None
-        return self
-
-    def partial_fit(self, data: Array) -> "StandardScaler":
-        """Incrementally fold *data* into the fitted statistics (Welford).
-
-        Unlike :meth:`fit`, which recomputes from scratch, ``partial_fit``
-        accumulates across calls: after any sequence of partial fits the
-        statistics match a single :meth:`fit` over the concatenated data to
-        floating-point accuracy.  A later call to :meth:`fit` resets the
-        accumulator.
-        """
-        data = np.asarray(data, dtype=np.float64)
-        if data.size == 0:
-            return self
-        if data.ndim == 1:
-            data = data.reshape(-1, 1)
-        if self._moments is None:
-            self._moments = RunningMoments()
-        self._moments.update_batch(data)
-        self.mean_ = self._moments.mean.copy()
-        self.std_ = self._moments.std()
         return self
 
     def fit_from_moments(self, moments: RunningMoments) -> "StandardScaler":
-        """Adopt the statistics of an externally maintained accumulator.
-
-        Like :meth:`fit`, this resets any :meth:`partial_fit` accumulator —
-        otherwise a later partial fit would silently resurrect pre-adoption
-        data into the statistics.
-        """
+        """Adopt the statistics of an externally maintained accumulator."""
         if moments.mean is None or moments.count == 0:
             raise ValueError("cannot fit a scaler from empty moments")
         self.mean_ = moments.mean.copy()
         self.std_ = moments.std()
-        self._moments = None
         return self
 
     def transform(self, data: Array) -> Array:

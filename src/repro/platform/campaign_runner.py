@@ -408,9 +408,6 @@ def _run_claimed(directory: str, lock: _ManifestLock, claim: Dict[str, Any],
                 wayfinder.add_observer(observer)
         result = wayfinder.specialize()
         summary = result.summary()
-        # wall-clock overhead is the one nondeterministic field; dropping it
-        # keeps stored results byte-identical across process counts/resumes.
-        summary.pop("search_overhead_s", None)
         # donor provenance is deterministic (a function of the spec and the
         # external zoo bytes) and survives resume via the algorithm state,
         # so it is safe inside the byte-equality-pinned summary.

@@ -475,7 +475,6 @@ class SessionCheckpointer:
         state = {
             "algorithm": session.algorithm.export_state(),
             "backend": session.backend.export_state(),
-            "search_overhead_s": session.search_overhead_s,
             "batches_run": session.batches_run,
         }
         return {
@@ -544,7 +543,6 @@ def restore_search_session(document: Dict[str, object], session) -> None:
     state = decode_state(document["state"])
     session.algorithm.import_state(state["algorithm"])
     session.backend.import_state(state["backend"])
-    session.search_overhead_s = float(state["search_overhead_s"])
     session.batches_run = int(state["batches_run"])
     # carry the original checkpoint cadence, so re-enabling checkpointing on
     # the resumed session defaults to the same rhythm.

@@ -45,7 +45,6 @@ Around that core the session exposes a lifecycle:
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 from repro.config.space import Configuration
@@ -65,7 +64,7 @@ class SessionResult:
     """Outcome of one complete search session."""
 
     def __init__(self, history: ExplorationHistory, algorithm_name: str,
-                 search_overhead_s: float, builds_skipped: int,
+                 builds_skipped: int,
                  workers: int = 1, batch_size: int = 1,
                  time_budget_s: Optional[float] = None,
                  favor: Optional[str] = None,
@@ -74,7 +73,6 @@ class SessionResult:
                  worker_utilization: Optional[List[float]] = None) -> None:
         self.history = history
         self.algorithm_name = algorithm_name
-        self.search_overhead_s = search_overhead_s
         self.builds_skipped = builds_skipped
         self.workers = workers
         self.batch_size = batch_size
@@ -116,7 +114,6 @@ class SessionResult:
         data = self.history.summary()
         data.update({
             "algorithm": self.algorithm_name,
-            "search_overhead_s": self.search_overhead_s,
             "builds_skipped": self.builds_skipped,
             "workers": self.workers,
             "batch_size": self.batch_size,
@@ -177,9 +174,6 @@ class SearchSession:
         self.checkpointer = None
         self.checkpoint_every = 1
         self._last_checkpoint_batch: Optional[int] = None
-        #: cumulative wall-clock seconds spent proposing/observing, carried
-        #: across checkpoint/resume so overhead accounting stays complete.
-        self.search_overhead_s = 0.0
         #: checkpoint-cadence events completed so far: barrier batches in
         #: batch mode (the default-configuration trial is batch 0),
         #: completion events in async mode; restored on resume so checkpoint
@@ -239,11 +233,9 @@ class SearchSession:
         return None
 
     def _observe(self, records: Sequence[TrialRecord]) -> None:
-        """Feed completed trials to the algorithm, timing the overhead."""
-        observe_started = time.perf_counter()
+        """Feed completed trials to the algorithm."""
         for record in records:
             self.algorithm.observe(record)
-        self.search_overhead_s += time.perf_counter() - observe_started
 
     def _run_default_first(self, dispatch_event: bool) -> None:
         """Benchmark the default configuration first and alone (fresh runs)."""
@@ -300,7 +292,6 @@ class SearchSession:
         return SessionResult(
             history=self.history,
             algorithm_name=self.algorithm.name,
-            search_overhead_s=self.search_overhead_s,
             builds_skipped=self.backend.builds_skipped,
             workers=self.backend.workers,
             batch_size=batch_size,
@@ -327,11 +318,7 @@ class SearchSession:
                 if remaining is not None:
                     k = min(k, remaining)
             self._notify("on_batch_start", self.batches_run, k)
-
-            proposal_started = time.perf_counter()
             batch = self.algorithm.propose_batch(self.history, k)
-            self.search_overhead_s += time.perf_counter() - proposal_started
-
             records = self.backend.run_batch(batch)
             self._ingest_batch(records)
             self._observe(records)
@@ -355,10 +342,8 @@ class SearchSession:
                     allowed = headroom if allowed is None else min(allowed, headroom)
             if allowed is not None and allowed <= 0:
                 break
-            proposal_started = time.perf_counter()
             configuration = self.algorithm.propose(
                 self.history, pending=self.backend.pending_configurations())
-            self.search_overhead_s += time.perf_counter() - proposal_started
             worker = self.backend.submit(configuration)
             self._notify("on_dispatch", configuration, worker)
 

@@ -161,11 +161,6 @@ class SearchAlgorithm:
     #: registry/reporting name.
     name = "search"
 
-    #: True for algorithms that derive a whole batch from one model/scoring
-    #: pass (overriding :meth:`propose_batch`); False for algorithms that
-    #: fall back to sequential proposals.
-    batch_native = False
-
     def __init__(self, space: ConfigSpace, seed: int = 0,
                  favored_kinds: Optional[Sequence[ParameterKind]] = None) -> None:
         self.space = space

@@ -98,7 +98,6 @@ class BayesianOptimizationSearch(SearchAlgorithm):
     """GP-based Bayesian optimization over the encoded configuration space."""
 
     name = "bayesian"
-    batch_native = True
 
     def __init__(self, space: ConfigSpace, seed: int = 0,
                  favored_kinds: Optional[Sequence[ParameterKind]] = None,

@@ -22,7 +22,6 @@ class GridSearch(SearchAlgorithm):
     """One-at-a-time sweep of every parameter around the default configuration."""
 
     name = "grid"
-    batch_native = True
 
     def __init__(self, space: ConfigSpace, seed: int = 0,
                  favored_kinds: Optional[Sequence[ParameterKind]] = None,

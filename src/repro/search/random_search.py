@@ -20,7 +20,6 @@ class RandomSearch(SearchAlgorithm):
     """Uniform random sampling of the configuration space."""
 
     name = "random"
-    batch_native = True
 
     def propose(self, history: ExplorationHistory,
                 pending: Sequence[Configuration] = ()) -> Configuration:

@@ -102,7 +102,6 @@ class TestProposeBatchContract:
 
     def test_unicorn_stays_sequential(self, small_space):
         algorithm = _build_algorithm("unicorn", small_space)
-        assert not algorithm.batch_native
         history = _observed_history(small_space, [algorithm])
         relearns_before = len(algorithm.iteration_stats)
         algorithm.propose_batch(history, 3)

@@ -95,6 +95,24 @@ class TestResumeDeterminism:
             result = resumed.specialize()
             assert [_trial_tuple(r) for r in result.history] == reference
 
+    @pytest.mark.parametrize("name", sorted(ALGO_OPTIONS))
+    def test_same_seed_checkpoints_are_byte_identical(self, name, tmp_path):
+        """A checkpoint holds no wall-clock and no uninitialized memory."""
+        spec = _spec(name, 1, 5 if name == "unicorn" else 15)
+        runs = []
+        for run in ("a", "b"):
+            wayfinder = Wayfinder.from_spec(spec)
+            store = ResultsStore(str(tmp_path / run))
+            wayfinder.enable_checkpointing(store, name=spec.name, every=1)
+            wayfinder.specialize()
+            runs.append(store)
+        paths = [(store.checkpoint_path(spec.name),
+                  store.checkpoint_backup_path(spec.name))
+                 + store.checkpoint_trial_paths(spec.name) for store in runs]
+        for first, second in zip(*paths):
+            with open(first, "rb") as handle_a, open(second, "rb") as handle_b:
+                assert handle_a.read() == handle_b.read(), first
+
     def test_resumed_prefix_matches_stored_records(self, tmp_path):
         spec = _spec("random", 4, 9)
         reference, archived = _full_run_with_checkpoints(spec, tmp_path)

@@ -1,10 +1,10 @@
 """Tests for the incrementally maintained search-loop state.
 
 Covers the O(1) ``ExplorationHistory`` indexes (membership hash set, cached
-best record, crash counters, amortized training buffers), the Welford
-running-moment scalers behind the DeepTune replay buffer, and the
-state-preserving ``RBFLayer.max_activation``.  Each incremental structure is
-checked against a brute-force recomputation from first principles.
+best record, crash counters, amortized training buffers) and the Welford
+running-moment scalers behind the DeepTune replay buffer.  Each incremental
+structure is checked against a brute-force recomputation from first
+principles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.config.encoding import ConfigEncoder
 from repro.config.parameter import BoolParameter, IntParameter, ParameterKind
 from repro.config.space import ConfigSpace
 from repro.deeptune.model import DeepTuneModel
-from repro.nn.layers import RBFLayer
 from repro.nn.normalize import RunningMoments, StandardScaler
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.platform.metrics import LatencyMetric, ThroughputMetric
@@ -162,35 +161,16 @@ class TestWelfordScaler:
         rng = np.random.default_rng(1)
         data = rng.normal(0.0, 1.0, size=(500, 5))
         data[:, 2] = 4.2  # constant column exercises the unit-scale clamp
-        incremental = StandardScaler()
-        for start in range(0, 500, 13):  # uneven batch sizes
-            incremental.partial_fit(data[start:start + 13])
+        moments = RunningMoments()
+        for row in data:
+            moments.update(row)
+        incremental = StandardScaler().fit_from_moments(moments)
         batch = StandardScaler().fit(data)
         np.testing.assert_allclose(incremental.mean_, batch.mean_, atol=1e-10)
         np.testing.assert_allclose(incremental.std_, batch.std_, atol=1e-10)
         probe = rng.normal(size=(4, 5))
         np.testing.assert_allclose(incremental.transform(probe),
                                    batch.transform(probe), atol=1e-10)
-
-    def test_fit_from_moments_resets_partial_accumulator(self):
-        scaler = StandardScaler()
-        scaler.partial_fit(np.full((5, 2), 100.0))
-        adopted = RunningMoments()
-        adopted.update_batch(np.zeros((3, 2)))
-        scaler.fit_from_moments(adopted)
-        scaler.partial_fit(np.arange(8.0).reshape(4, 2))
-        # Pre-adoption data (the 100.0 block) must not leak back in.
-        expected = StandardScaler().fit(np.arange(8.0).reshape(4, 2))
-        np.testing.assert_allclose(scaler.mean_, expected.mean_, atol=1e-12)
-
-    def test_fit_resets_partial_accumulator(self):
-        scaler = StandardScaler()
-        scaler.partial_fit(np.ones((3, 2)) * 10.0)
-        scaler.fit(np.arange(8.0).reshape(4, 2))
-        scaler.partial_fit(np.arange(8.0).reshape(4, 2))
-        # After the reset, partial statistics reflect only post-fit data.
-        expected = StandardScaler().fit(np.arange(8.0).reshape(4, 2))
-        np.testing.assert_allclose(scaler.mean_, expected.mean_, atol=1e-12)
 
     def test_model_scalers_match_from_scratch_fit(self):
         model = DeepTuneModel(input_dim=6, seed=2)
@@ -221,34 +201,3 @@ class TestWelfordScaler:
         np.testing.assert_array_equal(model._feature_buffer[:300], rows)
         np.testing.assert_array_equal(model._target_buffer[:300],
                                       np.arange(300.0))
-
-
-class TestRBFMaxActivationStateless:
-    def test_max_activation_matches_forward(self):
-        rng = np.random.default_rng(5)
-        layer = RBFLayer(in_dim=6, n_centroids=4, gamma=0.7, rng=rng)
-        inputs = rng.normal(size=(9, 6))
-        expected = layer.forward(inputs, training=False).max(axis=1)
-        np.testing.assert_allclose(layer.max_activation(inputs), expected,
-                                   atol=1e-12)
-
-    def test_max_activation_does_not_clobber_pending_backward(self):
-        rng = np.random.default_rng(6)
-        layer = RBFLayer(in_dim=5, n_centroids=3, gamma=0.9, rng=rng)
-        inputs = rng.normal(size=(7, 5))
-        other = rng.normal(size=(11, 5)) * 3.0
-        grad_output = rng.normal(size=(7, 3))
-
-        # Reference: forward then backward, uninterrupted.
-        layer.forward(inputs)
-        expected_grad_inputs = layer.backward(grad_output.copy())
-        expected_grad_centroids = layer.grad_centroids.copy()
-
-        # Interleaved: max_activation between forward and backward must not
-        # change what backward computes.
-        layer.zero_grad()
-        layer.forward(inputs)
-        layer.max_activation(other)
-        grad_inputs = layer.backward(grad_output.copy())
-        np.testing.assert_array_equal(grad_inputs, expected_grad_inputs)
-        np.testing.assert_array_equal(layer.grad_centroids, expected_grad_centroids)

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import normalized_mae
@@ -220,5 +220,6 @@ YAML_TREES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(YAML_KEYS, YAML_TREES, max_size=5)
        | st.lists(YAML_TREES, max_size=5))
+@example({"A": [": "]})  # a quoted list item holding ": " is a string
 def test_yaml_round_trip(document):
     assert load_yaml(dump_yaml(document)) == document
