@@ -24,6 +24,8 @@ from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.deeptune.model import DeepTuneModel
 from repro.deeptune.scoring import score_candidates
+from repro.deeptune.transfer import _model_from_metadata, _model_metadata
+from repro.nn.layers import Layer
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.search.base import SearchAlgorithm
 
@@ -218,9 +220,37 @@ class DeepTuneSearch(SearchAlgorithm):
 
     def import_state(self, state: dict) -> None:
         super().import_state(state)
+        _check_model_layout(state["model"])
         self.model = copy.deepcopy(state["model"])
         self.transferred = bool(state["transferred"])
         self.provenance = copy.deepcopy(state["provenance"])
         self._best_configurations = [Configuration(self.space, values)
                                      for values in state["best_values"]]
         self._best_objectives = [float(value) for value in state["best_objectives"]]
+
+
+def _check_model_layout(model: DeepTuneModel) -> None:
+    """Refuse a pickled model whose attributes differ from today's model.
+
+    A model pickled by older code may carry fields this code no longer has
+    (cached RBF difference tensors, unread counters); adopting it as is
+    would write them into every later checkpoint.  The model and each of
+    its layers must have exactly the attribute names of a fresh model of
+    the same shape.
+    """
+    fresh = _model_from_metadata(_model_metadata(model))
+    pairs = [("model", vars(model), vars(fresh))]
+    pairs.extend((name, vars(getattr(model, name)), vars(layer))
+                 for name, layer in vars(fresh).items()
+                 if isinstance(layer, Layer) and hasattr(model, name))
+    problems = []
+    for owner, stored, expected in pairs:
+        extra = sorted(set(stored) - set(expected))
+        missing = sorted(set(expected) - set(stored))
+        if extra:
+            problems.append("{} has unknown attributes {}".format(owner, extra))
+        if missing:
+            problems.append("{} lacks attributes {}".format(owner, missing))
+    if problems:
+        raise ValueError("checkpointed DeepTune model does not match this code's "
+                         "layout: " + "; ".join(problems))

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Dense, Dropout, RBFLayer, ReLU
+from repro.nn.layers import Dense, Dropout, RBFLayer, ReLU, squared_distances
 from repro.nn.losses import (
     chamfer_distance,
     heteroscedastic_regression_loss,
@@ -169,21 +169,29 @@ class DeepTuneModel:
             self.target_scaler.fit_from_moments(self._target_moments)
 
     # -- forward passes -------------------------------------------------------------
-    def _forward_prediction(self, X: Array, training: bool) -> Dict[str, Array]:
-        d1 = self.dense1.forward(X, training)
-        a1 = self.relu1.forward(d1, training)
-        p1 = self.drop1.forward(a1, training)
-        d2 = self.dense2.forward(p1, training)
-        a2 = self.relu2.forward(d2, training)
-        p2 = self.drop2.forward(a2, training)
-        out = self.head.forward(p2, training)
-        return {"latent1": a1, "latent2": a2, "out": out}
+    def _forward_prediction(self, X: Array) -> Dict[str, Array]:
+        """Training pass of F_p, caching what the backward pass reads."""
+        d1 = self.dense1.forward(X, training=True)
+        a1 = self.relu1.forward(d1, training=True)
+        p1 = self.drop1.forward(a1, training=True)
+        d2 = self.dense2.forward(p1, training=True)
+        a2 = self.relu2.forward(d2, training=True)
+        p2 = self.drop2.forward(a2, training=True)
+        out = self.head.forward(p2, training=True)
+        return {"latent1": a1, "out": out}
 
-    def _forward_uncertainty(self, X: Array, latent1: Array) -> Dict[str, Array]:
-        phi1 = self.rbf1.forward(X, training=False)
-        z2 = np.concatenate([latent1, phi1], axis=1)
-        phi2 = self.rbf2.forward(z2, training=False)
-        return {"phi1": phi1, "z2": z2, "phi2": phi2}
+    def _infer(self, X: Array) -> Tuple[Array, Array]:
+        """Inference pass of F_p: ``(latent1, out)``, dropout off.
+
+        It reads the weights directly instead of calling the layers'
+        ``forward``, so a candidate pool leaves no activation cache behind
+        in the layers (and in every checkpoint of the model).
+        """
+        d1 = X @ self.dense1.weights + self.dense1.bias
+        a1 = d1 * (d1 > 0.0)
+        d2 = a1 @ self.dense2.weights + self.dense2.bias
+        a2 = d2 * (d2 > 0.0)
+        return a1, a2 @ self.head.weights + self.head.bias
 
     # -- training ----------------------------------------------------------------------
     def _zero_grads(self) -> None:
@@ -197,7 +205,7 @@ class DeepTuneModel:
         crashed = np.asarray(crashed, dtype=bool)
         self._zero_grads()
 
-        forward = self._forward_prediction(X, training=True)
+        forward = self._forward_prediction(X)
         out = forward["out"]
         crash_logits = out[:, 0:2]
         mean = out[:, 2]
@@ -229,11 +237,15 @@ class DeepTuneModel:
         self.optimizer.step(prediction_params)
 
         # Uncertainty branch: fit the centroids to the (detached) latent inputs
-        # with the Chamfer regularizer.
-        uncertainty = self._forward_uncertainty(X, forward["latent1"])
+        # with the Chamfer regularizer.  rbf1's distance matrix serves both
+        # phi1 and, transposed, rbf1's Chamfer term: the same pairs, and no
+        # update in between.  phi2 feeds nothing in training.
+        sq_dist1 = squared_distances(X, self.rbf1.centroids)
+        z2 = np.concatenate([forward["latent1"], self.rbf1.activations(sq_dist1)], axis=1)
         loss_cham1, grad_c1 = chamfer_distance(self.rbf1.centroids, X,
-                                               weight=self.chamfer_weight)
-        loss_cham2, grad_c2 = chamfer_distance(self.rbf2.centroids, uncertainty["z2"],
+                                               weight=self.chamfer_weight,
+                                               sq_dist=sq_dist1.T)
+        loss_cham2, grad_c2 = chamfer_distance(self.rbf2.centroids, z2,
                                                weight=self.chamfer_weight)
         self.rbf1.grad_centroids += grad_c1
         self.rbf2.grad_centroids += grad_c2
@@ -285,8 +297,7 @@ class DeepTuneModel:
         if X.ndim == 1:
             X = X.reshape(1, -1)
         X_scaled = self.feature_scaler.transform(X)
-        forward = self._forward_prediction(X_scaled, training=False)
-        out = forward["out"]
+        latent1, out = self._infer(X_scaled)
         logits = out[:, 0:2]
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
@@ -298,9 +309,11 @@ class DeepTuneModel:
             performance = self.target_scaler.inverse_transform(
                 performance.reshape(-1, 1)).reshape(-1)
 
-        uncertainty_forward = self._forward_uncertainty(X_scaled, forward["latent1"])
+        phi1 = self.rbf1.activations(squared_distances(X_scaled, self.rbf1.centroids))
+        z2 = np.concatenate([latent1, phi1], axis=1)
+        phi2 = self.rbf2.activations(squared_distances(z2, self.rbf2.centroids))
         # Low maximum activation = no nearby prototype = unfamiliar sample.
-        familiarity = uncertainty_forward["phi2"].max(axis=1)
+        familiarity = phi2.max(axis=1)
         uncertainty = 1.0 - np.clip(familiarity, 0.0, 1.0)
         return DTMPrediction(crash_probability, performance, uncertainty)
 

@@ -15,6 +15,26 @@ import numpy as np
 Array = np.ndarray
 
 
+def squared_distances(a: Array, b: Array) -> Array:
+    """``out[i, j] = ||a_i - b_j||^2`` for two row sets, an (len(a), len(b)) matrix.
+
+    Expanded as ``||a||^2 + ||b||^2 - 2 a.b^T``: one matrix product, no
+    (len(a), len(b), dim) difference tensor.  The expansion cancels, so
+    identical rows leave a rounding residue of either sign, bounded by about
+    ``dim * eps * (||a||^2 + ||b||^2)``; every entry within that bound is
+    set to exactly 0 in place, which also clamps the negatives.
+    """
+    a_norms = np.einsum("ij,ij->i", a, a)
+    b_norms = np.einsum("ij,ij->i", b, b)
+    sq_dist = a @ b.T
+    sq_dist *= -2.0
+    sq_dist += a_norms[:, None]
+    sq_dist += b_norms[None, :]
+    residue = (4.0 * a.shape[1] * np.finfo(np.float64).eps) * (a_norms[:, None] + b_norms[None, :])
+    sq_dist[sq_dist <= residue] = 0.0
+    return sq_dist
+
+
 class Layer:
     """Base class: a differentiable transformation of a (batch, features) array."""
 
@@ -126,28 +146,30 @@ class RBFLayer(Layer):
         self._inputs: Optional[Array] = None
         self._activations: Optional[Array] = None
 
-    def _differences(self, inputs: Array) -> Array:
-        """diff[b, k, d] = z_b[d] - c_k[d], a (batch, centroids, dim) tensor.
+    def activations(self, sq_dist: Array) -> Array:
+        """phi from ``squared_distances(inputs, centroids)``, (batch, centroids).
 
-        Only :meth:`backward` needs it, so it is recomputed there rather than
-        cached by :meth:`forward` (and carried into every model snapshot).
+        Unlike :meth:`forward` it caches nothing, so a model can run this
+        layer on a large candidate pool without carrying the pool in every
+        snapshot of the layer.
         """
-        return inputs[:, None, :] - self.centroids[None, :, :]
+        return np.exp(-sq_dist / (2.0 * self.gamma ** 2))
 
     def forward(self, inputs: Array, training: bool = False) -> Array:
         self._inputs = inputs
-        sq_dist = np.sum(self._differences(inputs) ** 2, axis=2)
-        self._activations = np.exp(-sq_dist / (2.0 * self.gamma ** 2))
+        self._activations = self.activations(squared_distances(inputs, self.centroids))
         return self._activations
 
     def backward(self, grad_output: Array) -> Array:
         if self._activations is None:
             raise RuntimeError("backward called before forward")
-        diff = self._differences(self._inputs)
-        # d phi / d sq_dist = -phi / (2 gamma^2); d sq_dist / d z = 2 diff
+        z = self._inputs
+        # d phi / d sq_dist = -phi / (2 gamma^2); d sq_dist / d z = 2 (z - c).
+        # Summed over centroids (inputs) or the batch (centroids), the
+        # difference (z - c) splits into two matrix products.
         common = grad_output * self._activations / (self.gamma ** 2)
-        grad_inputs = -np.einsum("bk,bkd->bd", common, diff)
-        self.grad_centroids += np.einsum("bk,bkd->kd", common, diff)
+        grad_inputs = -(common.sum(axis=1)[:, None] * z - common @ self.centroids)
+        self.grad_centroids += common.T @ z - common.sum(axis=0)[:, None] * self.centroids
         return grad_inputs
 
     def parameters(self) -> List[Tuple[Array, Array]]:

@@ -18,6 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.nn.layers import squared_distances
+
 Array = np.ndarray
 
 
@@ -80,8 +82,8 @@ def heteroscedastic_regression_loss(
     return loss, grad_mean, grad_log_var
 
 
-def chamfer_distance(centroids: Array, points: Array,
-                     weight: float = 1.0) -> Tuple[float, Array]:
+def chamfer_distance(centroids: Array, points: Array, weight: float = 1.0,
+                     sq_dist: Optional[Array] = None) -> Tuple[float, Array]:
     """Symmetric Chamfer distance between the centroid set and a point batch.
 
     ``d(A, B) = mean_a min_b ||a - b||^2 + mean_b min_a ||a - b||^2``.
@@ -89,7 +91,9 @@ def chamfer_distance(centroids: Array, points: Array,
     its nearest data point and makes sure every data point has a nearby
     centroid — i.e. the centroids end up covering the training distribution,
     which is exactly the regularization role the paper assigns to ``L_Cham``.
-    Returns the loss and its gradient with respect to the centroids.
+    *sq_dist*, the (centroids, points) squared-distance matrix, may be passed
+    in when the caller already has it.  Returns the loss and its gradient
+    with respect to the centroids.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -97,21 +101,22 @@ def chamfer_distance(centroids: Array, points: Array,
         raise ValueError("centroids and points must be 2-D with matching feature size")
     if points.shape[0] == 0:
         return 0.0, np.zeros_like(centroids)
-    diff = centroids[:, None, :] - points[None, :, :]
-    sq_dist = np.sum(diff ** 2, axis=2)
+    if sq_dist is None:
+        sq_dist = squared_distances(centroids, points)
 
-    grad = np.zeros_like(centroids)
     k = centroids.shape[0]
     n = points.shape[0]
 
     # Term 1: every centroid to its nearest point.
     nearest_point = np.argmin(sq_dist, axis=1)
     term1 = float(np.mean(sq_dist[np.arange(k), nearest_point]))
-    grad += 2.0 * (centroids - points[nearest_point]) / k
+    grad = 2.0 * (centroids - points[nearest_point]) / k
 
-    # Term 2: every point to its nearest centroid.
+    # Term 2: every point to its nearest centroid.  A centroid's gradient
+    # sums (c - p) over the points nearest to it: count * c - (sum of p).
     nearest_centroid = np.argmin(sq_dist, axis=0)
     term2 = float(np.mean(sq_dist[nearest_centroid, np.arange(n)]))
-    np.add.at(grad, nearest_centroid, 2.0 * (centroids[nearest_centroid] - points) / n)
+    assigned = (nearest_centroid == np.arange(k)[:, None]).astype(np.float64)
+    grad += 2.0 * (assigned.sum(axis=1)[:, None] * centroids - assigned @ points) / n
 
     return (term1 + term2) * weight, grad * weight

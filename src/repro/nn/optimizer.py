@@ -32,7 +32,12 @@ class Adam:
             self._second_moment = [np.zeros_like(param) for param, _ in parameters]
 
     def step(self, parameters: Sequence[Tuple[Array, Array]]) -> None:
-        """Apply one Adam update to every (parameter, gradient) pair."""
+        """Apply one Adam update to every (parameter, gradient) pair.
+
+        Computes ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
+        ``param -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in that operation
+        order, in place through two scratch arrays per parameter.
+        """
         self._ensure_state(parameters)
         self._step += 1
         correction1 = 1.0 - self.beta1 ** self._step
@@ -42,13 +47,20 @@ class Adam:
                 grad = grad + self.weight_decay * param
             m = self._first_moment[index]
             v = self._second_moment[index]
+            step = np.multiply(grad, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += step
+            np.square(grad, out=step)
+            step *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / correction1
-            v_hat = v / correction2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            v += step
+            np.divide(m, correction1, out=step)
+            step *= self.learning_rate
+            denominator = np.divide(v, correction2)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.epsilon
+            step /= denominator
+            param -= step
 
     def reset(self) -> None:
         """Forget all moment estimates (used when a model is re-initialized)."""

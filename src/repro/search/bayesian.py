@@ -15,7 +15,6 @@ surrogate at least avoids re-proposing known-bad points.
 from __future__ import annotations
 
 import math
-import random
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.analysis.campaign_report import CampaignResults
 from repro.deeptune.forest import RandomForestRegressor, RegressionTree
+from repro.nn.optimizer import Adam
 from repro.platform.results import load_history_document
 
 
@@ -127,3 +128,34 @@ def per_iteration_cost_series_reference(
     return [(float(index),
              mean(durations[index] for durations in per_experiment))
             for index in range(horizon)]
+
+
+def squared_distances_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``||a_i - b_j||^2`` through the (len(a), len(b), dim) difference tensor."""
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+
+def adam_step_reference(optimizer: Adam,
+                        parameters: List[Tuple[np.ndarray, np.ndarray]]) -> None:
+    """One ``Adam.step`` written as the textbook expression.
+
+    Every operation allocates its own temporary; ``Adam.step`` performs the
+    same operations in the same order in place, so both must agree bit for
+    bit.
+    """
+    optimizer._ensure_state(parameters)
+    optimizer._step += 1
+    correction1 = 1.0 - optimizer.beta1 ** optimizer._step
+    correction2 = 1.0 - optimizer.beta2 ** optimizer._step
+    for index, (param, grad) in enumerate(parameters):
+        if optimizer.weight_decay:
+            grad = grad + optimizer.weight_decay * param
+        m = optimizer._first_moment[index]
+        v = optimizer._second_moment[index]
+        m *= optimizer.beta1
+        m += (1.0 - optimizer.beta1) * grad
+        v *= optimizer.beta2
+        v += (1.0 - optimizer.beta2) * grad ** 2
+        m_hat = m / correction1
+        v_hat = v / correction2
+        param -= optimizer.learning_rate * m_hat / (np.sqrt(v_hat) + optimizer.epsilon)

@@ -212,6 +212,29 @@ class TestCheckpointStore:
         resumed = Wayfinder.resume(ResultsStore(str(tmp_path)).checkpoint_path("riscv"))
         assert resumed.hardware.architecture == "riscv64"
 
+    def test_stale_deeptune_model_layout_is_refused(self, tmp_path):
+        """A model pickled by code that cached RBF difference tensors must
+        not be adopted, or every later checkpoint would carry them."""
+        import json
+
+        import numpy as np
+
+        from repro.platform.results import decode_state, encode_state
+
+        spec = _spec("deeptune", 1, 5)
+        _, archived = _full_run_with_checkpoints(spec, tmp_path)
+        path = archived[-2][1]
+        Wayfinder.resume(path).build_session()  # the untouched checkpoint resumes
+        with open(path) as handle:
+            document = json.load(handle)
+        state = decode_state(document["state"])
+        state["algorithm"]["model"].rbf1._diff = np.zeros((4, 8, 3))
+        document["state"] = encode_state(state)
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(ValueError, match="rbf1 has unknown attributes \\['_diff'\\]"):
+            Wayfinder.resume(path).build_session()
+
     def test_restore_requires_fresh_session(self, tmp_path):
         spec = _spec("random", 1, 4)
         _, archived = _full_run_with_checkpoints(spec, tmp_path)

@@ -240,6 +240,37 @@ class TestDeepTuneSearch:
                 if isinstance(value, np.ndarray):
                     assert value.ndim < 3, name
 
+    def test_predict_leaves_no_pool_sized_array_in_the_model(self, small_linux_model):
+        """predict runs on a whole candidate pool; nothing of that size may
+        stay cached in the model and ride into every checkpoint."""
+        rng = np.random.default_rng(6)
+        width = ConfigEncoder(small_linux_model.space).width
+        assert width != 192
+        model = DeepTuneModel(input_dim=width, seed=2)
+        for _ in range(64):
+            crashed = bool(rng.random() < 0.3)
+            model.add_observation(rng.normal(size=width),
+                                  None if crashed else rng.normal(), crashed)
+        model.fit_incremental(steps=5)
+        model.predict(rng.normal(size=(192, width)))
+        search = DeepTuneSearch(small_linux_model.space, model=model)
+        state = search.export_state()["model"]
+        pending = [state]
+        seen = set()
+        while pending:
+            value = pending.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                assert value.shape[:1] != (192,), value.shape
+            elif isinstance(value, (list, tuple)):
+                pending.extend(value)
+            elif isinstance(value, dict):
+                pending.extend(value.values())
+            elif hasattr(value, "__dict__"):
+                pending.extend(vars(value).values())
+
     def test_dissimilarity_skips_pretrained_rows(self, small_linux_model,
                                                  monkeypatch):
         """The explored set scored against is this search's own trials, not

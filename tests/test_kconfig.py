@@ -5,7 +5,6 @@ import pytest
 from repro.config.parameter import ParameterKind
 from repro.kconfig.history import KCONFIG_OPTION_COUNTS, kconfig_growth_series, option_count
 from repro.kconfig.linux import (
-    VERSION_CENSUS,
     LinuxSpaceBuilder,
     linux_census,
     linux_experiment_space,

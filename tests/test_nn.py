@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, Dropout, RBFLayer, ReLU
+from repro.nn.layers import Dense, Dropout, RBFLayer, ReLU, squared_distances
 from repro.nn.losses import (
     chamfer_distance,
     heteroscedastic_regression_loss,
@@ -11,6 +11,7 @@ from repro.nn.losses import (
 )
 from repro.nn.normalize import StandardScaler
 from repro.nn.optimizer import Adam
+from tests.oracles import adam_step_reference, squared_distances_reference
 
 
 RNG = np.random.default_rng(0)
@@ -87,6 +88,26 @@ class TestReLUDropout:
     def test_dropout_rate_validation(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("dim", [1, 3, 24, 498])
+    def test_matches_difference_tensor(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(32, dim))
+        b = rng.normal(loc=0.5, scale=2.0, size=(24, dim))
+        assert np.allclose(squared_distances(a, b), squared_distances_reference(a, b),
+                           rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 120, 498, 1000])
+    def test_identical_rows_are_exactly_zero(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 50.0):
+            a = rng.normal(size=(192, dim)) * scale
+            sq = squared_distances(a, a.copy())
+            assert np.all(np.diag(sq) == 0.0)
+            assert np.all(sq >= 0.0)
+            assert np.all(np.diag(squared_distances(a[:5], a)[:, :5]) == 0.0)
 
 
 class TestRBFLayer:
@@ -231,6 +252,19 @@ class TestLosses:
             optimizer.step([(centroids, grad)])
         assert np.linalg.norm(centroids) < 0.5
 
+    def test_chamfer_accepts_precomputed_distances(self):
+        """The model passes rbf1's (points, centroids) matrix, transposed."""
+        rng = np.random.default_rng(4)
+        centroids = rng.normal(size=(24, 40))
+        points = rng.normal(size=(32, 40))
+        loss, grad = chamfer_distance(centroids, points, weight=0.05)
+        for sq_dist in (squared_distances(centroids, points),
+                        squared_distances(points, centroids).T):
+            given_loss, given_grad = chamfer_distance(centroids, points, weight=0.05,
+                                                      sq_dist=sq_dist)
+            assert given_loss == pytest.approx(loss, rel=1e-12)
+            assert np.allclose(given_grad, grad, rtol=1e-12, atol=1e-15)
+
     def test_chamfer_empty_points(self):
         loss, grad = chamfer_distance(np.ones((2, 3)), np.empty((0, 3)))
         assert loss == 0.0
@@ -249,6 +283,26 @@ class TestAdam:
     def test_learning_rate_validation(self):
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_step_is_bit_identical_to_textbook_expression(self, weight_decay):
+        rng = np.random.default_rng(9)
+        shapes = [(40, 7), (7,), (3, 5)]
+        start = [rng.normal(size=shape) for shape in shapes]
+        runs = []
+        for step in (Adam.step, adam_step_reference):
+            optimizer = Adam(learning_rate=0.01, weight_decay=weight_decay)
+            parameters = [(value.copy(), np.zeros_like(value)) for value in start]
+            gradients = np.random.default_rng(10)
+            for _ in range(50):
+                for _, grad in parameters:
+                    grad[...] = gradients.normal(size=grad.shape)
+                step(optimizer, parameters)
+            runs.append([param for param, _ in parameters]
+                        + optimizer._first_moment + optimizer._second_moment)
+        fast, reference = runs
+        for fast_array, reference_array in zip(fast, reference):
+            assert fast_array.tobytes() == reference_array.tobytes()
 
     def test_reset(self):
         optimizer = Adam()

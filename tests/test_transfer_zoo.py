@@ -10,7 +10,6 @@ start only changes the model's starting weights, never the RNG streams.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 

@@ -10,7 +10,6 @@ from repro.vm.build import BuildSimulator
 from repro.vm.failures import FailureModel, FailureStage
 from repro.vm.footprint import FootprintModel
 from repro.vm.machine import PAPER_TESTBED, RISCV_EMBEDDED_BOARD, HardwareSpec
-from repro.vm.simulator import SystemSimulator
 
 from tests.conftest import make_simulator
 
