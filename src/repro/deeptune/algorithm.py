@@ -24,8 +24,6 @@ from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.deeptune.model import DeepTuneModel
 from repro.deeptune.scoring import score_candidates
-from repro.deeptune.transfer import _model_from_metadata, _model_metadata
-from repro.nn.layers import Layer
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.search.base import SearchAlgorithm
 
@@ -76,8 +74,6 @@ class DeepTuneSearch(SearchAlgorithm):
             n_centroids=n_centroids,
             seed=seed,
         )
-        #: True when the model was pre-trained on another application.
-        self.transferred = model is not None and model.observation_count > 0
         #: warm-start provenance (donor application, zoo entry, similarity)
         #: set by the front-end that injected a pre-trained model; surfaced
         #: in run summaries and campaign reports.  None for cold starts.
@@ -89,6 +85,11 @@ class DeepTuneSearch(SearchAlgorithm):
 
         self._best_configurations: List[Configuration] = []
         self._best_objectives: List[float] = []
+
+    @property
+    def transferred(self) -> bool:
+        """True when the model was pre-trained on another application."""
+        return self._own_rows_start > 0
 
     # -- candidate generation -------------------------------------------------------
     def _generate_candidates(self, history: ExplorationHistory) -> List[Configuration]:
@@ -204,15 +205,13 @@ class DeepTuneSearch(SearchAlgorithm):
     def export_state(self) -> dict:
         """Snapshot everything a resumed search needs to continue bit-identically.
 
-        The model is deep-copied wholesale: its weights, Adam moments, replay
-        buffer, Welford scaler moments, and the NumPy generator shared by the
-        dropout layers and the minibatch sampler all contribute to the future
-        proposal stream, and copying the object is the only way to guarantee
-        no field is forgotten as the model evolves.
+        The model contributes plain arrays and builtins
+        (:meth:`DeepTuneModel.export_state`), so the state names no class of
+        this package; the resumed search's model is built from the same spec
+        and adopts them.
         """
         state = super().export_state()
-        state["model"] = copy.deepcopy(self.model)
-        state["transferred"] = self.transferred
+        state["model"] = self.model.export_state()
         state["provenance"] = copy.deepcopy(self.provenance)
         state["best_values"] = [c.as_dict() for c in self._best_configurations]
         state["best_objectives"] = list(self._best_objectives)
@@ -220,37 +219,8 @@ class DeepTuneSearch(SearchAlgorithm):
 
     def import_state(self, state: dict) -> None:
         super().import_state(state)
-        _check_model_layout(state["model"])
-        self.model = copy.deepcopy(state["model"])
-        self.transferred = bool(state["transferred"])
+        self.model.import_state(state["model"])
         self.provenance = copy.deepcopy(state["provenance"])
         self._best_configurations = [Configuration(self.space, values)
                                      for values in state["best_values"]]
         self._best_objectives = [float(value) for value in state["best_objectives"]]
-
-
-def _check_model_layout(model: DeepTuneModel) -> None:
-    """Refuse a pickled model whose attributes differ from today's model.
-
-    A model pickled by older code may carry fields this code no longer has
-    (cached RBF difference tensors, unread counters); adopting it as is
-    would write them into every later checkpoint.  The model and each of
-    its layers must have exactly the attribute names of a fresh model of
-    the same shape.
-    """
-    fresh = _model_from_metadata(_model_metadata(model))
-    pairs = [("model", vars(model), vars(fresh))]
-    pairs.extend((name, vars(getattr(model, name)), vars(layer))
-                 for name, layer in vars(fresh).items()
-                 if isinstance(layer, Layer) and hasattr(model, name))
-    problems = []
-    for owner, stored, expected in pairs:
-        extra = sorted(set(stored) - set(expected))
-        missing = sorted(set(expected) - set(stored))
-        if extra:
-            problems.append("{} has unknown attributes {}".format(owner, extra))
-        if missing:
-            problems.append("{} lacks attributes {}".format(owner, missing))
-    if problems:
-        raise ValueError("checkpointed DeepTune model does not match this code's "
-                         "layout: " + "; ".join(problems))

@@ -25,6 +25,7 @@ as the search progresses — the property Figure 7 contrasts with Unicorn.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,6 +41,10 @@ from repro.nn.normalize import RunningMoments, StandardScaler
 from repro.nn.optimizer import Adam
 
 Array = np.ndarray
+
+#: the trainable arrays in :meth:`DeepTuneModel.state_dict` key order.
+_WEIGHT_NAMES = ("dense1.weights", "dense1.bias", "dense2.weights", "dense2.bias",
+                 "head.weights", "head.bias", "rbf1.centroids", "rbf2.centroids")
 
 
 class DTMPrediction:
@@ -107,8 +112,6 @@ class DeepTuneModel:
         gamma1 = gamma * np.sqrt(rbf2_in)
         self.rbf2 = RBFLayer(rbf2_in, n_centroids, gamma=float(gamma1), rng=self._rng)
 
-        self._prediction_params = [layer for layer in
-                                   (self.dense1, self.dense2, self.head)]
         self.optimizer = Adam(learning_rate=learning_rate)
         self.rbf_optimizer = Adam(learning_rate=learning_rate * 5.0)
 
@@ -159,33 +162,27 @@ class DeepTuneModel:
             self._target_moments.update(np.array([target_value]))
 
     def _refit_scalers(self) -> None:
-        """Publish the incrementally maintained moments into the scalers.
-
-        O(input_dim) per call — this used to ``np.vstack`` and refit over the
-        whole history every iteration.
-        """
+        """Publish the incrementally maintained moments into the scalers."""
         self.feature_scaler.fit_from_moments(self._feature_moments)
         if self._target_moments.count >= 2:
             self.target_scaler.fit_from_moments(self._target_moments)
 
     # -- forward passes -------------------------------------------------------------
-    def _forward_prediction(self, X: Array) -> Dict[str, Array]:
-        """Training pass of F_p, caching what the backward pass reads."""
+    def _forward_prediction(self, X: Array) -> Tuple[Array, Array]:
+        """Training pass of F_p, ``(latent1, out)``, caching what backward reads."""
         d1 = self.dense1.forward(X, training=True)
         a1 = self.relu1.forward(d1, training=True)
         p1 = self.drop1.forward(a1, training=True)
         d2 = self.dense2.forward(p1, training=True)
         a2 = self.relu2.forward(d2, training=True)
         p2 = self.drop2.forward(a2, training=True)
-        out = self.head.forward(p2, training=True)
-        return {"latent1": a1, "out": out}
+        return a1, self.head.forward(p2, training=True)
 
     def _infer(self, X: Array) -> Tuple[Array, Array]:
         """Inference pass of F_p: ``(latent1, out)``, dropout off.
 
         It reads the weights directly instead of calling the layers'
-        ``forward``, so a candidate pool leaves no activation cache behind
-        in the layers (and in every checkpoint of the model).
+        ``forward``, so a candidate pool leaves no activation cache behind.
         """
         d1 = X @ self.dense1.weights + self.dense1.bias
         a1 = d1 * (d1 > 0.0)
@@ -194,19 +191,15 @@ class DeepTuneModel:
         return a1, a2 @ self.head.weights + self.head.bias
 
     # -- training ----------------------------------------------------------------------
-    def _zero_grads(self) -> None:
-        for layer in (self.dense1, self.dense2, self.head, self.rbf1, self.rbf2):
-            layer.zero_grad()
-
     def train_step(self, X: Array, targets: Array, crashed: Array) -> Dict[str, float]:
         """One minibatch update of both branches; returns the loss components."""
         X = np.asarray(X, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         crashed = np.asarray(crashed, dtype=bool)
-        self._zero_grads()
+        for layer in (self.dense1, self.dense2, self.head, self.rbf1, self.rbf2):
+            layer.zero_grad()
 
-        forward = self._forward_prediction(X)
-        out = forward["out"]
+        latent1, out = self._forward_prediction(X)
         crash_logits = out[:, 0:2]
         mean = out[:, 2]
         log_var = out[:, 3]
@@ -218,12 +211,7 @@ class DeepTuneModel:
         loss_reg, grad_mean, grad_log_var = heteroscedastic_regression_loss(
             mean, log_var, targets, mask=mask)
 
-        grad_out = np.zeros_like(out)
-        grad_out[:, 0:2] = grad_logits
-        grad_out[:, 2] = grad_mean
-        grad_out[:, 3] = grad_log_var
-
-        grad = self.head.backward(grad_out)
+        grad = self.head.backward(np.column_stack([grad_logits, grad_mean, grad_log_var]))
         grad = self.drop2.backward(grad)
         grad = self.relu2.backward(grad)
         grad = self.dense2.backward(grad)
@@ -231,17 +219,15 @@ class DeepTuneModel:
         grad = self.relu1.backward(grad)
         self.dense1.backward(grad)
 
-        prediction_params = []
-        for layer in self._prediction_params:
-            prediction_params.extend(layer.parameters())
-        self.optimizer.step(prediction_params)
+        self.optimizer.step(self.dense1.parameters() + self.dense2.parameters()
+                            + self.head.parameters())
 
         # Uncertainty branch: fit the centroids to the (detached) latent inputs
         # with the Chamfer regularizer.  rbf1's distance matrix serves both
         # phi1 and, transposed, rbf1's Chamfer term: the same pairs, and no
         # update in between.  phi2 feeds nothing in training.
         sq_dist1 = squared_distances(X, self.rbf1.centroids)
-        z2 = np.concatenate([forward["latent1"], self.rbf1.activations(sq_dist1)], axis=1)
+        z2 = np.concatenate([latent1, self.rbf1.activations(sq_dist1)], axis=1)
         loss_cham1, grad_c1 = chamfer_distance(self.rbf1.centroids, X,
                                                weight=self.chamfer_weight,
                                                sq_dist=sq_dist1.T)
@@ -320,39 +306,70 @@ class DeepTuneModel:
     # -- persistence (used by transfer learning) -------------------------------------------
     def state_dict(self) -> Dict[str, Array]:
         """Snapshot every trainable array and the scaler statistics."""
-        state = {
-            "dense1.weights": self.dense1.weights.copy(),
-            "dense1.bias": self.dense1.bias.copy(),
-            "dense2.weights": self.dense2.weights.copy(),
-            "dense2.bias": self.dense2.bias.copy(),
-            "head.weights": self.head.weights.copy(),
-            "head.bias": self.head.bias.copy(),
-            "rbf1.centroids": self.rbf1.centroids.copy(),
-            "rbf2.centroids": self.rbf2.centroids.copy(),
-        }
-        if self.feature_scaler.is_fitted:
-            state["feature_scaler.mean"] = self.feature_scaler.mean_.copy()
-            state["feature_scaler.std"] = self.feature_scaler.std_.copy()
-        if self.target_scaler.is_fitted:
-            state["target_scaler.mean"] = self.target_scaler.mean_.copy()
-            state["target_scaler.std"] = self.target_scaler.std_.copy()
+        state = {name: self._weight(name).copy() for name in _WEIGHT_NAMES}
+        for scaler_name in ("feature_scaler", "target_scaler"):
+            scaler = getattr(self, scaler_name)
+            if scaler.is_fitted:
+                state[scaler_name + ".mean"] = scaler.mean_.copy()
+                state[scaler_name + ".std"] = scaler.std_.copy()
         return state
 
     def load_state_dict(self, state: Dict[str, Array]) -> None:
         """Restore a snapshot produced by :meth:`state_dict`."""
-        self.dense1.weights[...] = state["dense1.weights"]
-        self.dense1.bias[...] = state["dense1.bias"]
-        self.dense2.weights[...] = state["dense2.weights"]
-        self.dense2.bias[...] = state["dense2.bias"]
-        self.head.weights[...] = state["head.weights"]
-        self.head.bias[...] = state["head.bias"]
-        self.rbf1.centroids[...] = state["rbf1.centroids"]
-        self.rbf2.centroids[...] = state["rbf2.centroids"]
-        if "feature_scaler.mean" in state:
-            self.feature_scaler.mean_ = np.array(state["feature_scaler.mean"])
-            self.feature_scaler.std_ = np.array(state["feature_scaler.std"])
-        if "target_scaler.mean" in state:
-            self.target_scaler.mean_ = np.array(state["target_scaler.mean"])
-            self.target_scaler.std_ = np.array(state["target_scaler.std"])
+        for name in _WEIGHT_NAMES:
+            self._weight(name)[...] = state[name]
+        for scaler_name in ("feature_scaler", "target_scaler"):
+            # an absent entry is a scaler that was not fitted yet
+            fitted = scaler_name + ".mean" in state
+            scaler = getattr(self, scaler_name)
+            scaler.mean_ = np.array(state[scaler_name + ".mean"]) if fitted else None
+            scaler.std_ = np.array(state[scaler_name + ".std"]) if fitted else None
         self.optimizer.reset()
         self.rbf_optimizer.reset()
+
+    def _weight(self, name: str) -> Array:
+        layer, attribute = name.split(".")
+        return getattr(getattr(self, layer), attribute)
+
+    # -- checkpointing ---------------------------------------------------------------------
+    def export_state(self) -> Dict[str, object]:
+        """Everything later training and prediction read, as builtins and arrays.
+
+        The weights use the zoo's :meth:`state_dict` codec.  Gradient
+        buffers, layer caches and buffer slack are overwritten before they
+        are next read, so they are not exported.
+        """
+        n = self._count
+        return {
+            "weights": self.state_dict(),
+            "optimizer": self.optimizer.export_state(),
+            "rbf_optimizer": self.rbf_optimizer.export_state(),
+            "features": self._feature_buffer[:n].copy(),
+            "targets": self._target_buffer[:n].copy(),
+            "crashed": self._crash_buffer[:n].copy(),
+            "feature_moments": _moments_state(self._feature_moments),
+            "target_moments": _moments_state(self._target_moments),
+            "rng": self._rng.bit_generator.state,
+        }
+
+    def import_state(self, state: Dict[str, object]) -> None:
+        """Restore a snapshot produced by :meth:`export_state`."""
+        self.load_state_dict(state["weights"])
+        self.optimizer.import_state(state["optimizer"])
+        self.rbf_optimizer.import_state(state["rbf_optimizer"])
+        self._feature_buffer = np.array(state["features"], dtype=np.float64)
+        self._target_buffer = np.array(state["targets"], dtype=np.float64)
+        self._crash_buffer = np.array(state["crashed"], dtype=bool)
+        self._count = len(self._feature_buffer)
+        for moments, saved in ((self._feature_moments, state["feature_moments"]),
+                               (self._target_moments, state["target_moments"])):
+            for name in RunningMoments.__slots__:
+                setattr(moments, name, copy.copy(saved[name]))
+        # in place, never a new Generator: the dropout layers hold this one
+        self._rng.bit_generator.state = state["rng"]
+
+
+def _moments_state(moments: RunningMoments) -> Dict[str, object]:
+    """``count``, ``mean`` and ``m2`` of *moments*, the arrays copied."""
+    return {name: copy.copy(getattr(moments, name))
+            for name in RunningMoments.__slots__}

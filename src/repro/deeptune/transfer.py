@@ -27,7 +27,9 @@ experiments can warm-start from them (``warm_start:`` on the spec,
 ``<entry id>.model.npz``
     The donor model's :meth:`DeepTuneModel.state_dict` as a NumPy archive
     (weights, RBF centroids, fitted scaler statistics — never the replay
-    buffer, optimizer moments, or RNG state).
+    buffer, optimizer moments, or RNG state).  It is the ``weights`` part
+    of the model state a session checkpoint holds
+    (:meth:`DeepTuneModel.export_state`), so both use one codec.
 
 Entry records carry:
 

@@ -19,8 +19,7 @@ def ensure_row_capacity(array: np.ndarray, needed: int,
     """Return *array*, reallocated by doubling if it has fewer than *needed* rows.
 
     The existing rows are preserved; rows past the old capacity are zeroed
-    (callers track their own fill count), so a buffer pickled into a
-    checkpoint holds no uninitialized bytes.  Dtype and trailing dimensions
+    (callers track their own fill count).  Dtype and trailing dimensions
     are kept.
     """
     capacity = array.shape[0]

@@ -149,9 +149,8 @@ class RBFLayer(Layer):
     def activations(self, sq_dist: Array) -> Array:
         """phi from ``squared_distances(inputs, centroids)``, (batch, centroids).
 
-        Unlike :meth:`forward` it caches nothing, so a model can run this
-        layer on a large candidate pool without carrying the pool in every
-        snapshot of the layer.
+        Unlike :meth:`forward` it caches nothing, so a large candidate pool
+        leaves nothing behind in the layer.
         """
         return np.exp(-sq_dist / (2.0 * self.gamma ** 2))
 

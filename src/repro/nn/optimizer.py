@@ -13,15 +13,13 @@ class Adam:
     """Adam optimizer operating in place on (parameter, gradient) pairs."""
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
+                 beta2: float = 0.999, epsilon: float = 1e-8) -> None:
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self.weight_decay = weight_decay
         self._step = 0
         self._first_moment: List[Array] = []
         self._second_moment: List[Array] = []
@@ -43,8 +41,6 @@ class Adam:
         correction1 = 1.0 - self.beta1 ** self._step
         correction2 = 1.0 - self.beta2 ** self._step
         for index, (param, grad) in enumerate(parameters):
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param
             m = self._first_moment[index]
             v = self._second_moment[index]
             step = np.multiply(grad, 1.0 - self.beta1)
@@ -61,6 +57,18 @@ class Adam:
             denominator += self.epsilon
             step /= denominator
             param -= step
+
+    def export_state(self) -> dict:
+        """The step count and copies of the moment estimates."""
+        return {"step": self._step,
+                "first_moment": [m.copy() for m in self._first_moment],
+                "second_moment": [v.copy() for v in self._second_moment]}
+
+    def import_state(self, state: dict) -> None:
+        """Restore a snapshot produced by :meth:`export_state`."""
+        self._step = int(state["step"])
+        self._first_moment = [np.array(m) for m in state["first_moment"]]
+        self._second_moment = [np.array(v) for v in state["second_moment"]]
 
     def reset(self) -> None:
         """Forget all moment estimates (used when a model is re-initialized)."""

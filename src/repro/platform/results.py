@@ -172,7 +172,7 @@ class ResultsStore:
     """Save and load exploration histories and checkpoints as JSON documents."""
 
     FORMAT_VERSION = 3
-    CHECKPOINT_FORMAT_VERSION = 3
+    CHECKPOINT_FORMAT_VERSION = 4
     CHECKPOINT_SUFFIX = ".checkpoint.json"
     #: columnar sidecars holding the trial rows a manifest references (see
     #: :mod:`repro.platform.trialstore`): fixed-width numeric columns in
@@ -413,12 +413,15 @@ def open_history_view(path: str) -> trialstore.ColumnarHistoryView:
 
     Unlike :func:`load_history_document`, no records are materialized:
     numeric columns come straight off the mmap and payloads decode on
-    demand through the sidecar's block index.
+    demand through the sidecar's block index.  A checkpoint's version
+    numbers its state blob; its trial rows are those of a history.
     """
     with open(path) as handle:
         document = json.load(handle)
     version = document.get("format_version")
-    if version != ResultsStore.FORMAT_VERSION:
+    if version != (ResultsStore.CHECKPOINT_FORMAT_VERSION
+                   if document.get("kind") == "checkpoint"
+                   else ResultsStore.FORMAT_VERSION):
         raise ValueError("unsupported results format version: {!r}".format(version))
     return trialstore.ColumnarHistoryView(path, document)
 
@@ -509,7 +512,7 @@ def load_checkpoint_file(path: str) -> Dict[str, object]:
 
     The referenced trial-row prefix is read and attached under
     ``"records"``, so corruption anywhere — manifest *or* sidecars — and
-    any format version other than 3 surface as the ``ValueError`` the
+    any format version other than 4 surface as the ``ValueError`` the
     store's ``.prev`` fallback machinery expects.
     """
     with open(path) as handle:

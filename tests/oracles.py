@@ -148,8 +148,6 @@ def adam_step_reference(optimizer: Adam,
     correction1 = 1.0 - optimizer.beta1 ** optimizer._step
     correction2 = 1.0 - optimizer.beta2 ** optimizer._step
     for index, (param, grad) in enumerate(parameters):
-        if optimizer.weight_decay:
-            grad = grad + optimizer.weight_decay * param
         m = optimizer._first_moment[index]
         v = optimizer._second_moment[index]
         m *= optimizer.beta1

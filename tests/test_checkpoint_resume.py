@@ -113,6 +113,34 @@ class TestResumeDeterminism:
             with open(first, "rb") as handle_a, open(second, "rb") as handle_b:
                 assert handle_a.read() == handle_b.read(), first
 
+    @pytest.mark.parametrize("name", sorted(ALGO_OPTIONS))
+    def test_checkpoint_state_names_no_repro_class(self, name, tmp_path):
+        """Checkpoint state is builtins and NumPy arrays: unpickling it
+        imports nothing from this package."""
+        import base64
+        import io
+        import json
+        import pickle
+
+        spec = _spec(name, 1, 6)
+        wayfinder = Wayfinder.from_spec(spec)
+        store = ResultsStore(str(tmp_path))
+        wayfinder.enable_checkpointing(store, name=spec.name, every=1)
+        wayfinder.specialize()
+        with open(store.checkpoint_path(spec.name)) as handle:
+            blob = base64.b64decode(json.load(handle)["state"])
+        classes = []
+
+        class RecordingUnpickler(pickle.Unpickler):
+            def find_class(self, module, qualname):
+                classes.append("{}.{}".format(module, qualname))
+                return super().find_class(module, qualname)
+
+        RecordingUnpickler(io.BytesIO(blob)).load()
+        assert [c for c in classes if c.split(".")[0] == "repro"] == []
+        if name == "deeptune":  # the recorder sees the model's arrays
+            assert any(c.startswith("numpy.") for c in classes)
+
     def test_resumed_prefix_matches_stored_records(self, tmp_path):
         spec = _spec("random", 4, 9)
         reference, archived = _full_run_with_checkpoints(spec, tmp_path)
@@ -213,13 +241,9 @@ class TestCheckpointStore:
         assert resumed.hardware.architecture == "riscv64"
 
     def test_stale_deeptune_model_layout_is_refused(self, tmp_path):
-        """A model pickled by code that cached RBF difference tensors must
-        not be adopted, or every later checkpoint would carry them."""
+        """Format 3 pickled the DeepTune model object itself; such a
+        checkpoint is refused rather than read."""
         import json
-
-        import numpy as np
-
-        from repro.platform.results import decode_state, encode_state
 
         spec = _spec("deeptune", 1, 5)
         _, archived = _full_run_with_checkpoints(spec, tmp_path)
@@ -227,13 +251,11 @@ class TestCheckpointStore:
         Wayfinder.resume(path).build_session()  # the untouched checkpoint resumes
         with open(path) as handle:
             document = json.load(handle)
-        state = decode_state(document["state"])
-        state["algorithm"]["model"].rbf1._diff = np.zeros((4, 8, 3))
-        document["state"] = encode_state(state)
+        document["format_version"] = 3
         with open(path, "w") as handle:
             json.dump(document, handle)
-        with pytest.raises(ValueError, match="rbf1 has unknown attributes \\['_diff'\\]"):
-            Wayfinder.resume(path).build_session()
+        with pytest.raises(ValueError, match="format version: 3"):
+            Wayfinder.resume(path)
 
     def test_restore_requires_fresh_session(self, tmp_path):
         spec = _spec("random", 1, 4)

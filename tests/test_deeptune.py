@@ -226,19 +226,33 @@ class TestDeepTuneSearch:
         assert warmed.transferred
 
     def test_exported_state_holds_only_what_resume_reads(self, small_linux_model):
-        """No wall-clock lists, no second copy of the replay buffer and no
-        RBF scratch tensors ride along in the checkpointed state."""
+        """No wall-clock lists, no layer caches, no gradient buffers and no
+        buffer slack ride along in the checkpointed state."""
         search, _ = self.run_session(small_linux_model, iterations=12)
         state = search.export_state()
-        assert set(state) == {"sampler_rng", "model", "transferred",
-                              "provenance", "best_values", "best_objectives"}
-        model = state["model"]
-        for layer in (model.dense1, model.relu1, model.drop1, model.dense2,
-                      model.relu2, model.drop2, model.head, model.rbf1,
-                      model.rbf2):
-            for name, value in vars(layer).items():
-                if isinstance(value, np.ndarray):
-                    assert value.ndim < 3, name
+        assert set(state) == {"sampler_rng", "model", "provenance",
+                              "best_values", "best_objectives"}
+        model_state = state["model"]
+        assert set(model_state) == {"weights", "optimizer", "rbf_optimizer",
+                                    "features", "targets", "crashed",
+                                    "feature_moments", "target_moments", "rng"}
+        assert set(model_state["weights"]) == set(search.model.state_dict())
+        for key in ("optimizer", "rbf_optimizer"):
+            assert set(model_state[key]) == {"step", "first_moment",
+                                             "second_moment"}
+        for key in ("feature_moments", "target_moments"):
+            assert set(model_state[key]) == {"count", "mean", "m2"}
+        model = search.model
+        assert model.observation_count == 12
+        # 4 head outputs, 1 target column, rbf2's input is latent1 + phi1
+        allowed = {model.input_dim, *model.hidden_dims, model.n_centroids,
+                   model.hidden_dims[0] + model.n_centroids, 4, 1,
+                   model.observation_count}
+        assert not allowed & {32, 192}  # the minibatch and the pool
+        arrays = _arrays_in(model_state)
+        assert len(arrays) > 20
+        for array in arrays:
+            assert array.shape[0] in allowed, array.shape
 
     def test_predict_leaves_no_pool_sized_array_in_the_model(self, small_linux_model):
         """predict runs on a whole candidate pool; nothing of that size may
@@ -254,22 +268,43 @@ class TestDeepTuneSearch:
         model.fit_incremental(steps=5)
         model.predict(rng.normal(size=(192, width)))
         search = DeepTuneSearch(small_linux_model.space, model=model)
-        state = search.export_state()["model"]
-        pending = [state]
-        seen = set()
-        while pending:
-            value = pending.pop()
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            if isinstance(value, np.ndarray):
-                assert value.shape[:1] != (192,), value.shape
-            elif isinstance(value, (list, tuple)):
-                pending.extend(value)
-            elif isinstance(value, dict):
-                pending.extend(value.values())
-            elif hasattr(value, "__dict__"):
-                pending.extend(vars(value).values())
+        for array in _arrays_in(search.export_state()["model"]):
+            assert array.shape[:1] != (192,), array.shape
+
+    def test_model_state_round_trips_into_a_fresh_model(self):
+        """A fresh model that imports a trained model's state continues it
+        bit for bit: same training steps, same predictions."""
+        X, y, crashed = make_synthetic_dataset(n=40, d=6)
+        rows = [(row, None if np.isnan(target) else target, bool(crash))
+                for row, target, crash in zip(X, y, crashed)]
+        model = DeepTuneModel(input_dim=6, seed=4)
+        for row in rows[:30]:
+            model.add_observation(*row)
+            model.fit_incremental(steps=3)
+        clone = DeepTuneModel(input_dim=6, seed=4)
+        clone.import_state(model.export_state())
+        for trained in (model, clone):
+            for row in rows[30:]:
+                trained.add_observation(*row)
+                trained.fit_incremental(steps=3)
+        assert _arrays_equal(model.export_state(), clone.export_state())
+        assert np.array_equal(model.predict(X).uncertainty,
+                              clone.predict(X).uncertainty)
+
+    def test_import_state_restores_unfitted_scalers(self):
+        """A snapshot taken before any fit restores unfitted scalers and an
+        empty replay buffer, whatever the importing model held."""
+        untrained = DeepTuneModel(input_dim=6, seed=4).export_state()
+        model = DeepTuneModel(input_dim=6, seed=4)
+        X, _, _ = make_synthetic_dataset(n=10, d=6)
+        for index, row in enumerate(X):
+            model.add_observation(row, float(index), False)
+        model.fit_incremental(steps=1)
+        assert model.feature_scaler.is_fitted and model.target_scaler.is_fitted
+        model.import_state(untrained)
+        assert not model.feature_scaler.is_fitted
+        assert not model.target_scaler.is_fitted
+        assert model.observation_count == 0
 
     def test_dissimilarity_skips_pretrained_rows(self, small_linux_model,
                                                  monkeypatch):
@@ -404,3 +439,28 @@ class TestImportance:
             model.fit_incremental(steps=30)
         importances = model_permutation_importance(model, X[:50], repeats=2)
         assert int(np.argmax(importances)) == 1
+
+
+def _arrays_in(value):
+    """Every NumPy array inside nested dicts and lists; fails on objects."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        return [a for item in value.values() for a in _arrays_in(item)]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _arrays_in(item)]
+    assert value is None or isinstance(value, (bool, int, float, str)), type(value)
+    return []
+
+
+def _arrays_equal(first, second):
+    """Structural equality of two exported states, arrays bit for bit."""
+    if isinstance(first, np.ndarray):
+        return first.tobytes() == second.tobytes() and first.shape == second.shape
+    if isinstance(first, dict):
+        return (set(first) == set(second)
+                and all(_arrays_equal(first[k], second[k]) for k in first))
+    if isinstance(first, (list, tuple)):
+        return (len(first) == len(second)
+                and all(_arrays_equal(a, b) for a, b in zip(first, second)))
+    return first == second

@@ -284,14 +284,13 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_step_is_bit_identical_to_textbook_expression(self, weight_decay):
+    def test_step_is_bit_identical_to_textbook_expression(self):
         rng = np.random.default_rng(9)
         shapes = [(40, 7), (7,), (3, 5)]
         start = [rng.normal(size=shape) for shape in shapes]
         runs = []
         for step in (Adam.step, adam_step_reference):
-            optimizer = Adam(learning_rate=0.01, weight_decay=weight_decay)
+            optimizer = Adam(learning_rate=0.01)
             parameters = [(value.copy(), np.zeros_like(value)) for value in start]
             gradients = np.random.default_rng(10)
             for _ in range(50):
