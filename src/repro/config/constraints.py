@@ -5,12 +5,20 @@ value ranges).  The platform checks these *declared* constraints before it
 spends time building an image — exactly like KConfig refuses obviously
 inconsistent configurations — but, as in the paper, many configurations that
 satisfy all declared constraints still fail at build, boot, or run time.
+
+Each constraint checks one configuration (:meth:`Constraint.check`) or a
+whole batch of them given as value columns
+(:meth:`Constraint.violation_mask`, one object array per parameter), which
+is how DeepTune screens a candidate pool without building a configuration
+per row.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class ConstraintViolation:
@@ -35,14 +43,66 @@ class Constraint:
         """Return a violation if *configuration* breaks this constraint."""
         raise NotImplementedError
 
+    def violation_mask(self, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+        """Which of *n* rows break this constraint, as a boolean array.
+
+        *columns* maps (at least) each of :meth:`parameter_names` to an
+        object array of the *n* rows' values.  Row ``i`` is flagged exactly when :meth:`check`
+        flags the configuration made of every column's ``i``-th value; this
+        base version calls :meth:`check` once per row.
+        """
+        return np.fromiter(
+            (self.check(_ColumnRow(columns, row)) is not None for row in range(n)),
+            dtype=bool, count=n)
+
     def repair(self, configuration: Mapping[str, Any], rng: random.Random) -> Dict[str, Any]:
         """Suggest value updates that would satisfy the constraint."""
         return {}
 
 
+class _ColumnRow(Mapping):
+    """Row *row* of a set of value columns, read as a configuration."""
+
+    def __init__(self, columns: Mapping[str, np.ndarray], row: int) -> None:
+        self._columns = columns
+        self._row = row
+
+    def __getitem__(self, name: str) -> Any:
+        return self._columns[name][self._row]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
+#: the values _enabled accepts
+_ENABLED = (True, 1, "y", "m")
+
+
 def _enabled(value: Any) -> bool:
     """Interpret a bool or tristate value as 'feature enabled'."""
-    return value in (True, 1, "y", "m")
+    return value in _ENABLED
+
+
+def _equal(column: np.ndarray, value: Any) -> np.ndarray:
+    """Elementwise ``column[i] == value`` under Python equality.
+
+    *value* is wrapped in a 0-d object array so that a sequence value is
+    compared as one object, not broadcast.
+    """
+    target = np.empty((), dtype=object)
+    target[()] = value
+    return np.asarray(column == target, dtype=bool)
+
+
+def _enabled_mask(column: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_enabled` of an object column."""
+    mask = np.zeros(len(column), dtype=bool)
+    for value in _ENABLED:
+        mask |= _equal(column, value)
+    return mask
 
 
 class DependsOn(Constraint):
@@ -67,6 +127,10 @@ class DependsOn(Constraint):
                 ),
             )
         return None
+
+    def violation_mask(self, columns, n):
+        return (_enabled_mask(columns[self.option])
+                & ~_enabled_mask(columns[self.dependency]))
 
     def repair(self, configuration, rng):
         # Either disable the dependent option or enable the dependency;
@@ -101,6 +165,13 @@ class RequiresValue(Constraint):
                 ),
             )
         return None
+
+    def violation_mask(self, columns, n):
+        target = columns[self.target]
+        allowed = np.zeros(n, dtype=bool)
+        for value in self.allowed:
+            allowed |= _equal(target, value)
+        return _enabled_mask(columns[self.option]) & ~allowed
 
     def repair(self, configuration, rng):
         return {self.target: rng.choice(self.allowed)}
@@ -174,6 +245,12 @@ class ForbiddenCombination(Constraint):
             )
         return None
 
+    def violation_mask(self, columns, n):
+        mask = np.ones(n, dtype=bool)
+        for name, value in self.assignment.items():
+            mask &= _equal(columns[name], value)
+        return mask
+
     def repair(self, configuration, rng):
         # Break the combination by flipping one of the pinned bool-ish values.
         name = rng.choice(list(self.assignment.keys()))
@@ -188,6 +265,15 @@ class ForbiddenCombination(Constraint):
 
     def __repr__(self):
         return "ForbiddenCombination({})".format(self.assignment)
+
+
+def violated_rows(constraints: Iterable[Constraint],
+                  columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """Which of *n* rows given as value *columns* break any of *constraints*."""
+    mask = np.zeros(n, dtype=bool)
+    for constraint in constraints:
+        mask |= constraint.violation_mask(columns, n)
+    return mask
 
 
 def count_satisfied(

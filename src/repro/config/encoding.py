@@ -15,19 +15,27 @@ configuration, over spaces with hundreds of parameters.  The encoder therefore
 compiles an *encoding plan* at construction time — one vectorized column
 writer per parameter — so :meth:`encode_batch` fills the (n, width) matrix
 column-group by column-group with numpy array operations instead of a
-per-configuration Python loop, and keeps an LRU vector cache keyed by the
-(hashable) configuration so no configuration is ever encoded twice.  The fast
+per-configuration Python loop.  An LRU vector cache keyed by the (hashable)
+configuration serves repeat encodes of the same configuration.  The fast
 path is bit-identical to the naive per-parameter path,
 :meth:`ConfigEncoder.encode_per_parameter` (log-scaled columns go through
 ``math.log1p`` exactly like :meth:`Parameter.encode` does, because
 ``np.log1p`` differs from the C library in the last ulp on some platforms).
+
+Each writer codes a value column as int64 *codes* and encodes the codes.
+DeepTune draws its candidate pool directly as codes (each writer's
+:meth:`~_ColumnWriter.draw` has the distribution of ``Parameter.sample``) and
+encodes them with :meth:`ConfigEncoder.encode_codes`, bypassing the cache: a
+pool row is encoded once, bit-identically to :meth:`ConfigEncoder.encode` of
+the configuration it stands for (:meth:`ConfigEncoder.configuration`).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +49,21 @@ from repro.config.parameter import (
 from repro.config.space import Configuration, ConfigSpace
 
 
+def _object_array(values: Sequence) -> np.ndarray:
+    """*values* as a 1-d object array (tuples stay single elements)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 class _ColumnWriter:
     """One compiled writer: encodes a column of raw values for one parameter.
 
-    ``write`` fills ``out[:, start:stop]`` for every row at once; the output
-    matrix is zero-initialized, so one-hot writers only set the hot entries.
+    A column travels as *codes*, one int64 per row: the value itself for int
+    and hex parameters, 0/1 for bools and the domain index for tristates and
+    categoricals.  ``write`` fills ``out[:, start:stop]`` for every row at
+    once by coding the values and writing the codes, so a column drawn as
+    codes (:meth:`draw`) encodes bit-identically to the same values encoded
+    through :meth:`ConfigEncoder.encode`.  The output matrix is
+    zero-initialized, so one-hot writers only set the hot entries.
     """
 
     __slots__ = ("parameter", "start", "stop")
@@ -56,13 +74,43 @@ class _ColumnWriter:
         self.stop = stop
 
     def write(self, out: np.ndarray, values: Sequence, rows: np.ndarray) -> None:
+        self.write_codes(out, self.codes(values), rows)
+
+    def codes(self, values: Sequence) -> np.ndarray:
+        """The code of each value of a column."""
+        raise NotImplementedError
+
+    def write_codes(self, out: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def value(self, code: int) -> Any:
+        """The parameter value a code stands for."""
+        raise NotImplementedError
+
+    def values(self, codes: np.ndarray) -> np.ndarray:
+        """The values a code column stands for, as an object array."""
+        return np.fromiter(map(self.value, codes.tolist()), dtype=object,
+                           count=len(codes))
+
+    def draw(self, generator: np.random.Generator, n: int) -> np.ndarray:
+        """*n* codes drawn with the distribution of ``Parameter.sample``."""
         raise NotImplementedError
 
 
 class _FallbackWriter(_ColumnWriter):
-    """Reference path for parameter types without a vectorized writer."""
+    """Reference path for parameter types without a vectorized writer.
 
-    __slots__ = ()
+    Values are coded by interning them in a table that only grows, so a
+    code means the same value for the writer's whole life.  Draws call the
+    parameter's own ``sample``.
+    """
+
+    __slots__ = ("_table", "_index")
+
+    def __init__(self, parameter: Parameter, start: int, stop: int) -> None:
+        super().__init__(parameter, start, stop)
+        self._table: List[Any] = []
+        self._index: Dict[Any, int] = {}
 
     def write(self, out: np.ndarray, values: Sequence, rows: np.ndarray) -> None:
         start, stop = self.start, self.stop
@@ -70,66 +118,113 @@ class _FallbackWriter(_ColumnWriter):
         for row, value in enumerate(values):
             out[row, start:stop] = encode(value)
 
+    def _intern(self, value: Any) -> int:
+        try:
+            code = self._index.setdefault(value, len(self._table))
+        except TypeError:  # unhashable: look it up by equality
+            code = next((i for i, known in enumerate(self._table)
+                         if known == value), len(self._table))
+        if code == len(self._table):
+            self._table.append(value)
+        return code
+
+    def codes(self, values: Sequence) -> np.ndarray:
+        return np.fromiter(map(self._intern, values), dtype=np.int64,
+                           count=len(values))
+
+    def write_codes(self, out: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
+        self.write(out, [self._table[code] for code in codes.tolist()], rows)
+
+    def value(self, code: int) -> Any:
+        return self._table[code]
+
+    def draw(self, generator: np.random.Generator, n: int) -> np.ndarray:
+        rng = random.Random(int(generator.integers(2 ** 63)))
+        sample = self.parameter.sample
+        return self.codes([sample(rng) for _ in range(n)])
+
 
 class _BoolWriter(_ColumnWriter):
     __slots__ = ()
 
-    def write(self, out: np.ndarray, values: Sequence, rows: np.ndarray) -> None:
+    def codes(self, values: Sequence) -> np.ndarray:
         try:
             flags = np.array(values, dtype=bool)
         except (TypeError, ValueError):
             flags = np.fromiter((bool(value) for value in values),
                                 dtype=bool, count=len(values))
-        out[:, self.start] = flags
+        return flags.astype(np.int64)
+
+    def write_codes(self, out: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
+        out[:, self.start] = codes
+
+    def value(self, code: int) -> Any:
+        return bool(code)
+
+    def values(self, codes: np.ndarray) -> np.ndarray:
+        return _object_array((False, True))[codes]
+
+    def draw(self, generator: np.random.Generator, n: int) -> np.ndarray:
+        return generator.integers(0, 2, size=n)
 
 
 class _OneHotWriter(_ColumnWriter):
     """Index-arithmetic one-hot writer for tristate/categorical parameters.
 
-    ``index`` maps a domain value to its hot column offset; ``miss`` is the
-    offset used for out-of-domain values (-1 leaves the row all-zero, which is
-    what ``TristateParameter.encode`` produces, while categoricals clip to
-    their default choice).
+    ``index`` maps a domain value to its hot column offset, which is also
+    its code; ``miss`` is the code used for out-of-domain values (-1 leaves
+    the row all-zero, which is what ``TristateParameter.encode`` produces,
+    while categoricals clip to their default choice).
     """
 
-    __slots__ = ("index", "miss")
+    __slots__ = ("index", "miss", "domain")
 
     def __init__(self, parameter: Parameter, start: int, stop: int,
                  index: Dict, miss: int) -> None:
         super().__init__(parameter, start, stop)
         self.index = index
         self.miss = miss
+        self.domain = tuple(index)
 
-    def write(self, out: np.ndarray, values: Sequence, rows: np.ndarray) -> None:
+    def codes(self, values: Sequence) -> np.ndarray:
         n = len(values)
-        start = self.start
         try:
             # Common case: every value is in the domain — a C-level map over
             # dict.__getitem__ with no per-value Python frame.
-            hot = np.fromiter(map(self.index.__getitem__, values),
-                              dtype=np.int64, count=n)
+            return np.fromiter(map(self.index.__getitem__, values),
+                               dtype=np.int64, count=n)
         except KeyError:
             lookup = self.index.get
             miss = self.miss
-            hot = np.fromiter((lookup(value, miss) for value in values),
-                              dtype=np.int64, count=n)
-            if miss < 0:
-                keep = np.nonzero(hot >= 0)[0]
-                out[keep, start + hot[keep]] = 1.0
-                return
-        out[rows, start + hot] = 1.0
+            return np.fromiter((lookup(value, miss) for value in values),
+                               dtype=np.int64, count=n)
+
+    def write_codes(self, out: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
+        if self.miss < 0:
+            keep = codes >= 0
+            if not keep.all():
+                rows, codes = rows[keep], codes[keep]
+        out[rows, self.start + codes] = 1.0
+
+    def value(self, code: int) -> Any:
+        return self.domain[code]
+
+    def values(self, codes: np.ndarray) -> np.ndarray:
+        return _object_array(self.domain)[codes]
+
+    def draw(self, generator: np.random.Generator, n: int) -> np.ndarray:
+        return generator.integers(0, len(self.domain), size=n)
 
 
 class _NumericWriter(_ColumnWriter):
     """Min-max / log1p scaler for int and hex parameters."""
 
-    __slots__ = ("minimum", "maximum", "default", "log_scale", "lo", "hi")
+    __slots__ = ("minimum", "maximum", "log_scale", "lo", "hi")
 
     def __init__(self, parameter: IntParameter, start: int, stop: int) -> None:
         super().__init__(parameter, start, stop)
         self.minimum = parameter.minimum
         self.maximum = parameter.maximum
-        self.default = parameter.default
         self.log_scale = parameter.log_scale
         if self.log_scale:
             self.lo = math.log1p(self.minimum)
@@ -137,10 +232,7 @@ class _NumericWriter(_ColumnWriter):
         else:
             self.lo = self.hi = 0.0
 
-    def write(self, out: np.ndarray, values: Sequence, rows: np.ndarray) -> None:
-        if self.maximum == self.minimum:
-            out[:, self.start] = 0.0
-            return
+    def codes(self, values: Sequence) -> np.ndarray:
         try:
             # int64 conversion truncates floats toward zero, exactly like the
             # scalar path's int(value).
@@ -151,26 +243,50 @@ class _NumericWriter(_ColumnWriter):
             )
         np.maximum(clipped, self.minimum, out=clipped)
         np.minimum(clipped, self.maximum, out=clipped)
-        if self.log_scale:
+        return clipped
+
+    def write_codes(self, out: np.ndarray, codes: np.ndarray, rows: np.ndarray) -> None:
+        if self.maximum == self.minimum:
+            out[:, self.start] = 0.0
+        elif self.log_scale:
             # math.log1p (not np.log1p) for bit-identity with Parameter.encode.
-            logs = np.fromiter(map(math.log1p, clipped.tolist()),
-                               dtype=np.float64, count=len(values))
+            logs = np.fromiter(map(math.log1p, codes.tolist()),
+                               dtype=np.float64, count=len(codes))
             out[:, self.start] = (logs - self.lo) / (self.hi - self.lo)
         else:
-            out[:, self.start] = ((clipped - self.minimum)
+            out[:, self.start] = ((codes - self.minimum)
                                   / float(self.maximum - self.minimum))
+
+    def value(self, code: int) -> Any:
+        return int(code)
+
+    def values(self, codes: np.ndarray) -> np.ndarray:
+        return codes.astype(object)
+
+    def draw(self, generator: np.random.Generator, n: int) -> np.ndarray:
+        if not self.log_scale or self.maximum == self.minimum:
+            return generator.integers(self.minimum, self.maximum, size=n,
+                                      endpoint=True)
+        # IntParameter.sample: a uniform point on the log1p axis, rounded
+        # back to an integer and clipped.
+        units = self.lo + generator.random(n) * (self.hi - self.lo)
+        drawn = np.rint(np.expm1(units)).astype(np.int64)
+        np.maximum(drawn, self.minimum, out=drawn)
+        np.minimum(drawn, self.maximum, out=drawn)
+        return drawn
 
 
 def _compile_writer(parameter: Parameter, start: int, stop: int) -> _ColumnWriter:
     """Pick the vectorized writer matching *parameter*'s encode implementation.
 
-    A subclass that overrides ``encode`` (or the numeric helpers) falls back
-    to the reference per-value path, so custom parameter types stay correct.
+    A subclass that overrides ``encode``, ``sample`` (or the numeric helpers)
+    falls back to the reference per-value path, which encodes and draws
+    through the parameter itself, so custom parameter types stay correct.
     """
     cls = type(parameter)
-    if cls.encode is BoolParameter.encode:
+    if cls.encode is BoolParameter.encode and cls.sample is BoolParameter.sample:
         return _BoolWriter(parameter, start, stop)
-    if cls.encode is TristateParameter.encode:
+    if cls.encode is TristateParameter.encode and cls.sample is TristateParameter.sample:
         # The subclass's own STATES: an override with different states (but
         # inherited encode) must one-hot against those, not the base tuple.
         states = type(parameter).STATES
@@ -178,13 +294,17 @@ def _compile_writer(parameter: Parameter, start: int, stop: int) -> _ColumnWrite
             return _FallbackWriter(parameter, start, stop)
         index = {state: i for i, state in enumerate(states)}
         return _OneHotWriter(parameter, start, stop, index, miss=-1)
-    if cls.encode is CategoricalParameter.encode and cls.clip is CategoricalParameter.clip:
+    if (cls.encode is CategoricalParameter.encode
+            and cls.clip is CategoricalParameter.clip
+            and cls.sample is CategoricalParameter.sample):
         index = {choice: i for i, choice in enumerate(parameter.choices)}
         return _OneHotWriter(parameter, start, stop, index,
                              miss=index[parameter.default])
     if (cls.encode is IntParameter.encode
             and cls.clip is IntParameter.clip
-            and cls._to_unit is IntParameter._to_unit):
+            and cls._to_unit is IntParameter._to_unit
+            and cls.sample is IntParameter.sample
+            and cls._from_unit is IntParameter._from_unit):
         return _NumericWriter(parameter, start, stop)
     return _FallbackWriter(parameter, start, stop)
 
@@ -278,10 +398,8 @@ class ConfigEncoder:
             self._cache.popitem(last=False)
 
     # -- encode / decode --------------------------------------------------------
-    def _encode_plan(self, configurations: Sequence[Configuration]) -> np.ndarray:
-        """Columnar fast path: run every compiled writer over the batch."""
-        out = np.zeros((len(configurations), self._width), dtype=np.float64)
-        rows = np.arange(len(configurations))
+    def _value_columns(self, configurations: Sequence[Configuration]) -> List[tuple]:
+        """One tuple of raw values per parameter, in plan order."""
         # Configuration._values dicts are built in space parameter order, so a
         # single C-level transpose yields one value column per parameter —
         # much cheaper than a per-parameter dict-lookup comprehension at
@@ -295,8 +413,13 @@ class ConfigEncoder:
             if len(row) != len(names) or list(values_dict) != names:
                 row = [values_dict[name] for name in names]
             value_rows.append(row)
-        columns = list(zip(*value_rows))
-        for writer, values in zip(self._plan, columns):
+        return list(zip(*value_rows))
+
+    def _encode_plan(self, configurations: Sequence[Configuration]) -> np.ndarray:
+        """Columnar fast path: run every compiled writer over the batch."""
+        out = np.zeros((len(configurations), self._width), dtype=np.float64)
+        rows = np.arange(len(configurations))
+        for writer, values in zip(self._plan, self._value_columns(configurations)):
             try:
                 writer.write(out, values, rows)
             except Exception:
@@ -309,6 +432,42 @@ class ConfigEncoder:
                 for row, value in enumerate(values):
                     out[row, writer.start:writer.stop] = encode(value)
         return out
+
+    # -- code rows -------------------------------------------------------------
+    # A code row holds one int64 per parameter (see _ColumnWriter): the form
+    # DeepTune draws its candidate pool in, so a pool is encoded and
+    # deduplicated without building a Configuration per candidate.
+    def code_rows(self, configurations: Sequence[Configuration]) -> np.ndarray:
+        """The (n, parameters) code matrix of *configurations*."""
+        codes = np.empty((len(configurations), len(self._plan)), dtype=np.int64)
+        if len(configurations):
+            for column, (writer, values) in enumerate(
+                    zip(self._plan, self._value_columns(configurations))):
+                codes[:, column] = writer.codes(values)
+        return codes
+
+    def encode_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Encode a code matrix; row i equals ``encode`` of ``configuration(codes[i])``."""
+        out = np.zeros((len(codes), self._width), dtype=np.float64)
+        rows = np.arange(len(codes))
+        for column, writer in enumerate(self._plan):
+            writer.write_codes(out, codes[:, column], rows)
+        return out
+
+    def draw_codes(self, column: int, generator: np.random.Generator,
+                   n: int) -> np.ndarray:
+        """*n* codes for parameter number *column*, distributed like its ``sample``."""
+        return self._plan[column].draw(generator, n)
+
+    def configuration(self, code_row: np.ndarray) -> Configuration:
+        """The configuration one code row stands for."""
+        values = [writer.value(code)
+                  for writer, code in zip(self._plan, code_row.tolist())]
+        return Configuration(self.space, dict(zip(self._names, values)))
+
+    def column_values(self, column: int, codes: np.ndarray) -> np.ndarray:
+        """The values a column of codes for parameter number *column* stands for."""
+        return self._plan[column].values(codes)
 
     def encode_per_parameter(self, configuration: Configuration) -> np.ndarray:
         """Naive scalar path: one ``Parameter.encode`` call per parameter.

@@ -10,12 +10,16 @@ The candidate pool mixes fresh random samples with mutations of the best
 configurations found so far, which concentrates candidates in promising
 regions once the model has identified them while keeping genuinely new
 regions in play — the exploration/exploitation balance the paper discusses.
+The pool is drawn as code columns straight into the encoded matrix
+(:mod:`repro.deeptune.pool`); only the candidates walked in ranked order
+become :class:`Configuration` objects.  The warmup iterations before the
+model is ready draw through the shared ``ConfigurationSampler``.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from repro.config.encoding import ConfigEncoder
 from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.deeptune.model import DeepTuneModel
+from repro.deeptune.pool import PoolSampler
 from repro.deeptune.scoring import score_candidates
 from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.search.base import SearchAlgorithm
@@ -85,6 +90,13 @@ class DeepTuneSearch(SearchAlgorithm):
 
         self._best_configurations: List[Configuration] = []
         self._best_objectives: List[float] = []
+        # built at the first pool, after the warmup, so compiling its column
+        # rules stays out of the search's set-up
+        self._pool: Optional[PoolSampler] = None
+        # the pool's generator is the first child of the search seed's
+        # SeedSequence, so it never shares a stream with the model's
+        # default_rng(seed)
+        self._pool_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     @property
     def transferred(self) -> bool:
@@ -92,18 +104,15 @@ class DeepTuneSearch(SearchAlgorithm):
         return self._own_rows_start > 0
 
     # -- candidate generation -------------------------------------------------------
-    def _generate_candidates(self, history: ExplorationHistory) -> List[Configuration]:
-        pool: List[Configuration] = []
-        n_exploit = int(self.candidate_pool_size * self.exploit_fraction)
-        if self._best_configurations:
-            for _ in range(n_exploit):
-                base = self.sampler.rng.choice(self._best_configurations)
-                pool.append(self.sampler.mutate(base, mutation_rate=0.08))
-        while len(pool) < self.candidate_pool_size:
-            pool.append(self.sampler.sample())
-        # Drop exact repeats of what has already been evaluated.
-        unique = [c for c in pool if not history.contains_configuration(c)]
-        return unique or pool
+    def _generate_candidates(self, history: ExplorationHistory) -> np.ndarray:
+        """The candidate pool as code rows, exact repeats of *history* dropped."""
+        if self._pool is None:
+            self._pool = PoolSampler(self.sampler, self.encoder)
+        return self._pool.draw(
+            self._pool_rng, history, self.candidate_pool_size,
+            self._best_configurations,
+            n_exploit=int(self.candidate_pool_size * self.exploit_fraction),
+            mutation_rate=0.08)
 
     def _track_best(self, record: TrialRecord) -> None:
         if record.crashed or record.objective is None:
@@ -119,7 +128,7 @@ class DeepTuneSearch(SearchAlgorithm):
 
     # -- search interface ---------------------------------------------------------------
     def _score_pool(self, history: ExplorationHistory):
-        """One model pass over a fresh candidate pool: (candidates, scores).
+        """One model pass over a fresh candidate pool: (code rows, scores).
 
         This is the audited single-batched-predict contract of the scoring
         tier: :meth:`propose` and :meth:`propose_batch` each call this
@@ -129,8 +138,8 @@ class DeepTuneSearch(SearchAlgorithm):
         out of that single forward pass, never from per-candidate model
         calls (``tests/test_deeptune.py`` pins the call count).
         """
-        candidates = self._generate_candidates(history)
-        matrix = self.encoder.encode_batch(candidates)
+        codes = self._generate_candidates(history)
+        matrix = self.encoder.encode_codes(codes)
         prediction = self.model.predict(matrix)
 
         known = self.model.replay_features(self._own_rows_start)
@@ -145,7 +154,15 @@ class DeepTuneSearch(SearchAlgorithm):
             exploration_weight=self.exploration_weight,
             crash_threshold=self.crash_threshold,
         )
-        return candidates, scores
+        return codes, scores
+
+    def _ranked(self, codes: np.ndarray, scores: np.ndarray) -> Iterator[Configuration]:
+        """Pool candidates best first, each built only when reached.
+
+        The descending sort is stable, so the first is the ``argmax``.
+        """
+        for index in np.argsort(-scores, kind="stable").tolist():
+            yield self.encoder.configuration(codes[index])
 
     def propose(self, history: ExplorationHistory,
                 pending: Sequence[Configuration] = ()) -> Configuration:
@@ -154,13 +171,10 @@ class DeepTuneSearch(SearchAlgorithm):
         if not ready:
             return self.sampler.sample_unique(history, exclude=in_flight)
 
-        candidates, scores = self._score_pool(history)
-        # Stable descending order: with nothing in flight the first pick is
-        # exactly the historical argmax candidate; otherwise the best-ranked
-        # candidate not already running wins.
+        # With nothing in flight the first pick is the argmax candidate;
+        # otherwise the best-ranked candidate not already running wins.
         choice: Optional[Configuration] = None
-        for index in np.argsort(-scores, kind="stable"):
-            candidate = candidates[int(index)]
+        for candidate in self._ranked(*self._score_pool(history)):
             if candidate not in in_flight:
                 choice = candidate
                 break
@@ -183,15 +197,11 @@ class DeepTuneSearch(SearchAlgorithm):
         if not ready:
             return self.sampler.sample_batch_unique(history, k)
 
-        candidates, scores = self._score_pool(history)
         # skip_explored=False mirrors propose(): the pool is already
         # best-effort deduplicated by _generate_candidates, and the argmax
         # pick must stay reachable even on a nearly exhausted space.
-        batch = self.sampler.fill_batch(
-            (candidates[int(index)]
-             for index in np.argsort(-scores, kind="stable")),
-            history, k, skip_explored=False)
-        return batch
+        return self.sampler.fill_batch(self._ranked(*self._score_pool(history)),
+                                       history, k, skip_explored=False)
 
     def observe(self, record: TrialRecord) -> None:
         vector = self.encoder.encode(record.configuration)
@@ -215,6 +225,7 @@ class DeepTuneSearch(SearchAlgorithm):
         state["provenance"] = copy.deepcopy(self.provenance)
         state["best_values"] = [c.as_dict() for c in self._best_configurations]
         state["best_objectives"] = list(self._best_objectives)
+        state["pool_rng"] = self._pool_rng.bit_generator.state
         return state
 
     def import_state(self, state: dict) -> None:
@@ -224,3 +235,4 @@ class DeepTuneSearch(SearchAlgorithm):
         self._best_configurations = [Configuration(self.space, values)
                                      for values in state["best_values"]]
         self._best_objectives = [float(value) for value in state["best_objectives"]]
+        self._pool_rng.bit_generator.state = state["pool_rng"]

@@ -172,7 +172,7 @@ class ResultsStore:
     """Save and load exploration histories and checkpoints as JSON documents."""
 
     FORMAT_VERSION = 3
-    CHECKPOINT_FORMAT_VERSION = 4
+    CHECKPOINT_FORMAT_VERSION = 5
     CHECKPOINT_SUFFIX = ".checkpoint.json"
     #: columnar sidecars holding the trial rows a manifest references (see
     #: :mod:`repro.platform.trialstore`): fixed-width numeric columns in

@@ -136,10 +136,15 @@ class TestResumeDeterminism:
                 classes.append("{}.{}".format(module, qualname))
                 return super().find_class(module, qualname)
 
-        RecordingUnpickler(io.BytesIO(blob)).load()
+        state = RecordingUnpickler(io.BytesIO(blob)).load()
         assert [c for c in classes if c.split(".")[0] == "repro"] == []
         if name == "deeptune":  # the recorder sees the model's arrays
             assert any(c.startswith("numpy.") for c in classes)
+            # six trials with three warmup ones: the candidate pool has
+            # drawn, and its generator state is plain builtins
+            pool_rng = state["algorithm"]["pool_rng"]
+            assert pool_rng["bit_generator"] == "PCG64"
+            assert isinstance(pool_rng["state"]["state"], int)
 
     def test_resumed_prefix_matches_stored_records(self, tmp_path):
         spec = _spec("random", 4, 9)
@@ -240,9 +245,7 @@ class TestCheckpointStore:
         resumed = Wayfinder.resume(ResultsStore(str(tmp_path)).checkpoint_path("riscv"))
         assert resumed.hardware.architecture == "riscv64"
 
-    def test_stale_deeptune_model_layout_is_refused(self, tmp_path):
-        """Format 3 pickled the DeepTune model object itself; such a
-        checkpoint is refused rather than read."""
+    def _refuses_rewritten_version(self, tmp_path, version):
         import json
 
         spec = _spec("deeptune", 1, 5)
@@ -251,11 +254,22 @@ class TestCheckpointStore:
         Wayfinder.resume(path).build_session()  # the untouched checkpoint resumes
         with open(path) as handle:
             document = json.load(handle)
-        document["format_version"] = 3
+        document["format_version"] = version
         with open(path, "w") as handle:
             json.dump(document, handle)
-        with pytest.raises(ValueError, match="format version: 3"):
+        with pytest.raises(ValueError, match="format version: {}".format(version)):
             Wayfinder.resume(path)
+
+    def test_stale_deeptune_model_layout_is_refused(self, tmp_path):
+        """Format 3 pickled the DeepTune model object itself; such a
+        checkpoint is refused rather than read."""
+        self._refuses_rewritten_version(tmp_path, 3)
+
+    def test_checkpoint_without_pool_generator_is_refused(self, tmp_path):
+        """Format 4 predates DeepTune's candidate-pool generator: its state
+        has no ``pool_rng`` and its pools came from another algorithm, so
+        the version check refuses it before the state is read."""
+        self._refuses_rewritten_version(tmp_path, 4)
 
     def test_restore_requires_fresh_session(self, tmp_path):
         spec = _spec("random", 1, 4)

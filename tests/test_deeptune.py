@@ -231,7 +231,12 @@ class TestDeepTuneSearch:
         search, _ = self.run_session(small_linux_model, iterations=12)
         state = search.export_state()
         assert set(state) == {"sampler_rng", "model", "provenance",
-                              "best_values", "best_objectives"}
+                              "best_values", "best_objectives", "pool_rng"}
+        # the pool generator's PCG64 state, as builtins
+        assert set(state["pool_rng"]) == {"bit_generator", "state",
+                                          "has_uint32", "uinteger"}
+        assert state["pool_rng"]["bit_generator"] == "PCG64"
+        assert _arrays_in(state["pool_rng"]) == []  # builtins only
         model_state = state["model"]
         assert set(model_state) == {"weights", "optimizer", "rbf_optimizer",
                                     "features", "targets", "crashed",
@@ -253,6 +258,30 @@ class TestDeepTuneSearch:
         assert len(arrays) > 20
         for array in arrays:
             assert array.shape[0] in allowed, array.shape
+
+    def test_pool_rows_encode_like_their_configurations(self, small_linux_model):
+        """Each row of the drawn pool's matrix is bit for bit the encoding of
+        the configuration the row is materialised as."""
+        search, result = self.run_session(small_linux_model, iterations=12)
+        codes = search._generate_candidates(result.history)
+        matrix = search.encoder.encode_codes(codes)
+        reference = ConfigEncoder(small_linux_model.space, cache_size=0)
+        assert len(codes) > 40
+        for row, vector in zip(codes, matrix):
+            configuration = search.encoder.configuration(row)
+            assert small_linux_model.space.is_valid(configuration)
+            assert not result.history.contains_configuration(configuration)
+            assert np.array_equal(vector, reference.encode(configuration))
+
+    def test_batch_of_one_is_the_sequential_proposal(self, small_linux_model):
+        """propose_batch(history, 1) picks what propose(history) picks and
+        leaves both random streams where propose leaves them."""
+        first, result = self.run_session(small_linux_model, iterations=12)
+        second, _ = self.run_session(small_linux_model, iterations=12)
+        for _ in range(3):
+            assert second.propose_batch(result.history, 1) == [first.propose(result.history)]
+            assert first.export_state()["pool_rng"] == second.export_state()["pool_rng"]
+            assert first.sampler.rng.getstate() == second.sampler.rng.getstate()
 
     def test_predict_leaves_no_pool_sized_array_in_the_model(self, small_linux_model):
         """predict runs on a whole candidate pool; nothing of that size may

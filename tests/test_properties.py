@@ -8,6 +8,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import normalized_mae
+from repro.config.constraints import (
+    DependsOn,
+    ForbiddenCombination,
+    RangeConstraint,
+    RequiresValue,
+)
 from repro.config.encoding import ConfigEncoder
 from repro.config.jobfile import dump_yaml, load_yaml
 from repro.config.parameter import (
@@ -223,3 +229,41 @@ YAML_TREES = st.recursive(
 @example({"A": [": "]})  # a quoted list item holding ": " is a string
 def test_yaml_round_trip(document):
     assert load_yaml(dump_yaml(document)) == document
+
+
+# ---------------------------------------------------------------------------
+# Constraint column masks
+# ---------------------------------------------------------------------------
+
+#: the values a configuration column may hold: bools, tristates, strings,
+#: ints (0 and 1 alias False and True) and floats
+CELL_VALUES = st.one_of(st.booleans(), st.sampled_from(["n", "y", "m", "x"]),
+                        st.integers(min_value=-3, max_value=12),
+                        st.floats(min_value=-2.0, max_value=12.0))
+CONSTRAINTS = st.one_of(
+    st.tuples(st.sampled_from("abc"), st.sampled_from("abc")).map(
+        lambda pair: DependsOn(*pair)),
+    st.tuples(st.sampled_from("abc"), st.sampled_from("abc"),
+              st.lists(CELL_VALUES, min_size=1, max_size=3)).map(
+        lambda t: RequiresValue(*t)),
+    st.tuples(st.sampled_from("abc"), st.integers(min_value=-2, max_value=5),
+              st.integers(min_value=0, max_value=6)).map(
+        lambda t: RangeConstraint(t[0], min(t[1], t[2]), max(t[1], t[2]))),
+    st.dictionaries(st.sampled_from("abc"), CELL_VALUES, min_size=1).map(
+        ForbiddenCombination),
+)
+
+
+@given(constraint=CONSTRAINTS, rows=st.lists(
+    st.fixed_dictionaries({name: CELL_VALUES for name in "abc"}),
+    min_size=1, max_size=12))
+def test_constraint_mask_equals_per_row_check(constraint, rows):
+    # only the columns the constraint reads, as the candidate pool passes them
+    columns = {}
+    for name in set(constraint.parameter_names()):
+        columns[name] = np.empty(len(rows), dtype=object)
+        for index, row in enumerate(rows):
+            columns[name][index] = row[name]
+    mask = constraint.violation_mask(columns, len(rows))
+    assert mask.dtype == bool
+    assert mask.tolist() == [constraint.check(row) is not None for row in rows]
