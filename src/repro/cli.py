@@ -178,8 +178,7 @@ def _add_run_parser(subparsers) -> None:
                         help="continue from a stored checkpoint (a name inside "
                              "--results, or a checkpoint file path); the stored "
                              "spec supplies the experiment settings and budget "
-                             "flags extend it. Checkpoints embed pickled state: "
-                             "only resume files from a trusted source")
+                             "flags extend it")
 
 
 def _add_probe_parser(subparsers) -> None:

@@ -417,12 +417,9 @@ class Wayfinder:
         checkpointed run stopped: calling :meth:`specialize` (the stored
         spec supplies the original budget) reproduces the uninterrupted run
         trial for trial — same proposals, same RNG consumption, same
-        timestamps.
-
-        .. warning::
-            Checkpoints embed pickled state; loading one can execute
-            arbitrary code, so only resume files written by a process you
-            trust.
+        timestamps.  A damaged checkpoint — manifest, trial rows, or a
+        state file whose length or sha256 does not match — raises
+        ``ValueError``.
         """
         document = load_checkpoint_file(path)
         spec = ExperimentSpec.from_dict(document["spec"])

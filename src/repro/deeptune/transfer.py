@@ -17,7 +17,7 @@ experiments can warm-start from them (``warm_start:`` on the spec,
 ``<campaign results dir>/zoo/`` — with this on-disk layout:
 
 ``index.json``
-    The zoo manifest.  Top-level fields: ``format_version`` (currently 1)
+    The zoo manifest.  Top-level fields: ``format_version`` (currently 2)
     and ``entries``, a mapping from entry id to entry record.  Every file
     in the zoo is written through the crash-safe
     ``atomic_write_text``/``atomic_write_bytes`` staging protocol of
@@ -25,11 +25,13 @@ experiments can warm-start from them (``warm_start:`` on the spec,
     so a torn write can never leave a half-updated index behind.
 
 ``<entry id>.model.npz``
-    The donor model's :meth:`DeepTuneModel.state_dict` as a NumPy archive
-    (weights, RBF centroids, fitted scaler statistics — never the replay
-    buffer, optimizer moments, or RNG state).  It is the ``weights`` part
-    of the model state a session checkpoint holds
-    (:meth:`DeepTuneModel.export_state`), so both use one codec.
+    The donor model's :meth:`DeepTuneModel.state_dict` (weights, RBF
+    centroids, fitted scaler statistics — never the replay buffer,
+    optimizer moments, or RNG state), written by :mod:`repro.statecodec`.
+    It is the ``weights`` part of the model state a session checkpoint
+    holds (:meth:`DeepTuneModel.export_state`), and checkpoint state uses
+    the same codec.  A format 1 index, whose archives were plain
+    ``np.savez`` output, reads as an empty zoo.
 
 Entry records carry:
 
@@ -78,20 +80,18 @@ missing or truncated ``.npz``, metadata/width mismatches) raise
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from typing import Any, Dict, Optional
 
-import numpy as np
-
+from repro import statecodec
 from repro.deeptune.model import DeepTuneModel
 
 #: conventional zoo directory name inside a campaign results tree.
 ZOO_DIR_NAME = "zoo"
 #: the zoo manifest file inside the zoo directory.
 ZOO_INDEX_NAME = "index.json"
-ZOO_FORMAT_VERSION = 1
+ZOO_FORMAT_VERSION = 2
 
 
 class ZooError(RuntimeError):
@@ -236,10 +236,8 @@ def publish_zoo_entry(zoo_dir: str, application: str, encoder,
     existing = entries.get(entry_id)
     if existing is not None and not _replaces(entry, existing):
         return None
-    buffer = io.BytesIO()
-    np.savez(buffer, **model.state_dict())
     atomic_write_bytes(os.path.join(zoo_dir, entry["model_file"]),
-                       buffer.getvalue())
+                       statecodec.dumps(model.state_dict()))
     entries[entry_id] = entry
     index = {"format_version": ZOO_FORMAT_VERSION, "entries": entries}
     atomic_write_text(os.path.join(zoo_dir, ZOO_INDEX_NAME),
@@ -251,12 +249,11 @@ def load_zoo_model(zoo_dir: str, entry: Dict[str, Any]) -> DeepTuneModel:
     """Rebuild the donor model of one zoo *entry*; :class:`ZooError` on damage."""
     try:
         model = _model_from_metadata(entry["model_meta"])
-        path = os.path.join(zoo_dir, entry["model_file"])
-        archive = np.load(path)
-        state = {key: archive[key] for key in archive.files}
-        model.load_state_dict(state)
-    # a torn .npz surfaces as BadZipFile, a mangled one as almost anything;
-    # this is the corruption boundary, so wrap wholesale rather than guess.
+        with open(os.path.join(zoo_dir, entry["model_file"]), "rb") as handle:
+            model.load_state_dict(statecodec.loads(handle.read()))
+    # the codec raises ValueError for a damaged archive, but metadata or
+    # arrays of the wrong shape fail in the model as almost anything; this
+    # is the corruption boundary, so wrap wholesale rather than guess.
     except Exception as error:  # noqa: BLE001
         raise ZooError("unreadable zoo entry {!r}: {}".format(
             entry.get("id"), error)) from error

@@ -5,26 +5,26 @@ in off-the-shelf databases so runs can be resumed, audited, and re-plotted
 long after the fact.  This module provides the equivalent for the
 reproduction: a JSON results store that round-trips an entire exploration
 history — configurations, objectives, crash outcomes, timings — plus
-first-class *checkpoints*.  A checkpoint embeds the experiment spec, the
-completed trial records, and an opaque state blob covering the search
-algorithm (RNG streams, model weights, replay buffers), the execution
-backend (worker clocks, skip-build image state), and the simulator's
-measurement-noise RNG — everything needed for
-:meth:`Wayfinder.resume` to continue an interrupted run *bit-identically*
-to the uninterrupted one.  Flat CSV export for external analysis rounds the
-module off.
+first-class *checkpoints*.  A checkpoint holds the experiment spec, the
+completed trial records, and a state sidecar covering the search algorithm
+(RNG streams, model weights, replay buffers), the execution backend (worker
+clocks, skip-build image state), and the simulator's measurement-noise RNG —
+everything needed for :meth:`Wayfinder.resume` to continue an interrupted
+run *bit-identically* to the uninterrupted one.  The state is a
+:mod:`repro.statecodec` archive (JSON builtins plus ``.npy`` arrays) whose
+length and sha256 the manifest records and the loader verifies.  Flat CSV export for external analysis rounds the module off.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import errno
+import hashlib
 import json
 import os
-import pickle
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro import statecodec
 from repro.config.space import ConfigSpace
 from repro.platform import trialstore
 from repro.platform.history import ExplorationHistory, TrialRecord
@@ -82,30 +82,18 @@ def record_from_dict(data: Dict[str, object], space: ConfigSpace) -> TrialRecord
     )
 
 
-def encode_state(payload: object) -> str:
-    """Pickle *payload* and encode it for embedding in a JSON document.
-
-    Checkpoint state (RNG streams, model weights, replay buffers) must
-    round-trip *exactly* — a single flipped mantissa bit would make a resumed
-    run diverge — so it is serialized with pickle rather than re-encoded as
-    JSON numbers, and carried as base64 text inside the document.
-    """
-    return base64.b64encode(pickle.dumps(payload)).decode("ascii")
-
-
-def decode_state(text: str) -> object:
-    """Inverse of :func:`encode_state`.
-
-    .. warning::
-        This unpickles the blob, which can execute arbitrary code — only
-        resume checkpoints you (or a process you trust) wrote, exactly like
-        any other pickle-bearing artifact.
-    """
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
+def _write_staged(path: str, data: bytes) -> str:
+    """Write *data* to ``<path>.<pid>.tmp`` and fsync it; returns that path."""
+    staging = "{}.{}.tmp".format(path, os.getpid())
+    with open(staging, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return staging
 
 
-def atomic_write_text(path: str, text: str) -> str:
-    """Crash-safely replace *path* with *text*.
+def atomic_write_bytes(path: str, data: bytes) -> str:
+    """Crash-safely replace *path* with *data*.
 
     The write goes to a per-process staging file (``<path>.<pid>.tmp``, so
     concurrent writers never clobber each other's staging), is fsynced
@@ -113,26 +101,14 @@ def atomic_write_text(path: str, text: str) -> str:
     — a crash at any instant leaves either the complete old file or the
     complete new file, never a torn one.
     """
-    staging = "{}.{}.tmp".format(path, os.getpid())
-    with open(staging, "w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(staging, path)
+    os.replace(_write_staged(path, data), path)
     trialstore._fsync_directory(path)
     return path
 
 
-def atomic_write_bytes(path: str, data: bytes) -> str:
-    """Binary sibling of :func:`atomic_write_text` (same staging protocol)."""
-    staging = "{}.{}.tmp".format(path, os.getpid())
-    with open(staging, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(staging, path)
-    trialstore._fsync_directory(path)
-    return path
+def atomic_write_text(path: str, text: str) -> str:
+    """Text sibling of :func:`atomic_write_bytes` (UTF-8, same protocol)."""
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _pid_alive(pid: int) -> bool:
@@ -172,7 +148,7 @@ class ResultsStore:
     """Save and load exploration histories and checkpoints as JSON documents."""
 
     FORMAT_VERSION = 3
-    CHECKPOINT_FORMAT_VERSION = 5
+    CHECKPOINT_FORMAT_VERSION = 6
     CHECKPOINT_SUFFIX = ".checkpoint.json"
     #: columnar sidecars holding the trial rows a manifest references (see
     #: :mod:`repro.platform.trialstore`): fixed-width numeric columns in
@@ -185,6 +161,12 @@ class ResultsStore:
     #: are rejected with ``ValueError``.
     TRIAL_COLUMNS_SUFFIX = ".trials.bin"
     TRIAL_PAYLOADS_SUFFIX = ".trials.jsonl"
+    #: a checkpoint's algorithm/backend state (a :mod:`repro.statecodec`
+    #: archive).  It has two fixed slots, this name and ``.prev``; the
+    #: manifest names the first and records the sha256 and length that
+    #: pick its slot, so the ``.prev`` manifest keeps its state through
+    #: every step of a save.
+    CHECKPOINT_STATE_SUFFIX = ".checkpoint.state.npz"
     #: rolling backup of the previous checkpoint: the fallback when the
     #: current one turns out torn/corrupted.
     CHECKPOINT_BACKUP_SUFFIX = CHECKPOINT_SUFFIX + ".prev"
@@ -215,11 +197,13 @@ class ResultsStore:
                 os.path.join(self.directory, name + self.TRIAL_PAYLOADS_SUFFIX))
 
     def checkpoint_trial_paths(self, name: str) -> tuple:
-        """(columns, payloads) sidecar paths of the checkpoint under *name*."""
-        return (os.path.join(self.directory,
-                             name + ".checkpoint" + self.TRIAL_COLUMNS_SUFFIX),
+        """(columns, payloads, state) sidecar paths of the checkpoint under
+        *name*; the state path is the current slot, ``.prev`` the other."""
+        stem = os.path.join(self.directory, name + ".checkpoint")
+        return (stem + self.TRIAL_COLUMNS_SUFFIX,
+                stem + self.TRIAL_PAYLOADS_SUFFIX,
                 os.path.join(self.directory,
-                             name + ".checkpoint" + self.TRIAL_PAYLOADS_SUFFIX))
+                             name + self.CHECKPOINT_STATE_SUFFIX))
 
     # -- writing ---------------------------------------------------------------
     def save_history(self, name: str, history: ExplorationHistory,
@@ -249,7 +233,7 @@ class ResultsStore:
             "trial_payloads": os.path.basename(payloads_path),
             "payload_blocks": blocks,
         }
-        text = json.dumps(document, indent=2) + "\n"
+        text = json.dumps(document, separators=(",", ":")) + "\n"
         return atomic_write_text(self._path(name), text)
 
     # -- reading -----------------------------------------------------------------
@@ -298,39 +282,45 @@ class ResultsStore:
         """Path of the rolling previous-checkpoint backup for *name*."""
         return os.path.join(self.directory, name + self.CHECKPOINT_BACKUP_SUFFIX)
 
-    def save_checkpoint(self, name: str, document: Dict[str, object]) -> str:
-        """Crash-safely persist a checkpoint *document* under *name*.
+    def save_checkpoint(self, name: str, document: Dict[str, object],
+                        state: bytes) -> str:
+        """Crash-safely persist a checkpoint *document* and its *state* bytes.
 
-        The write is staged, fsynced, and renamed into place so an
-        interruption mid-write never corrupts the previous checkpoint — the
-        entire point of checkpointing long sweeps.  The superseded
-        checkpoint is kept as a rolling ``.prev`` backup: if the current
-        file is ever found torn (filesystem corruption, or the chaos
-        injector simulating it), :meth:`latest_valid_checkpoint` falls back
-        to it instead of losing the run.
+        Both are staged and fsynced first.  Then the current manifest
+        becomes the rolling ``.prev`` backup, the current state slot moves
+        to ``.prev``, and the new state is renamed into the current slot
+        and made durable (directory fsync) before the new manifest that
+        names it is renamed into place.  A crash at any step leaves the
+        previous checkpoint or the new one loadable: each manifest finds
+        its state by sha256 in either slot.  If the current checkpoint is
+        ever found torn (filesystem corruption, or the chaos injector
+        simulating it), :meth:`latest_valid_checkpoint` falls back to the
+        backup instead of losing the run.  Returns the manifest path.
         """
         path = self.checkpoint_path(name)
         backup = self.checkpoint_backup_path(name)
-        text = json.dumps(document, indent=2) + "\n"
+        state_path = self.checkpoint_trial_paths(name)[2]
+        text = json.dumps(document, separators=(",", ":")) + "\n"
         if self.fault_injector is not None:
             torn = self.fault_injector.tear(text)
             if torn is not None:
                 # simulate a crash mid-write on a non-atomic path: the final
                 # file holds a truncated document and the worker dies.  The
-                # previous checkpoint survives as the backup.
+                # previous checkpoint and its state survive as the backup.
                 if os.path.exists(path):
                     os.replace(path, backup)
                 with open(path, "w") as handle:
                     handle.write(torn)
                 self.fault_injector.die()
-        staging = "{}.{}.tmp".format(path, os.getpid())
-        with open(staging, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        staged_state = _write_staged(state_path, state)
+        staged = _write_staged(path, text.encode("utf-8"))
         if os.path.exists(path):
             os.replace(path, backup)
-        os.replace(staging, path)
+        if os.path.exists(state_path):
+            os.replace(state_path, state_path + ".prev")
+        os.replace(staged_state, state_path)
+        trialstore._fsync_directory(path)
+        os.replace(staged, path)
         trialstore._fsync_directory(path)
         return path
 
@@ -341,9 +331,10 @@ class ResultsStore:
     def latest_valid_checkpoint(self, name: str) -> Optional[str]:
         """Path of the newest loadable checkpoint for *name*, or ``None``.
 
-        A corrupted or truncated current checkpoint is set aside under
-        ``.corrupt`` and the rolling ``.prev`` backup is promoted in its
-        place, so the caller resumes from the last good state; with neither
+        A corrupted or truncated current checkpoint (manifest, trial rows or
+        state) is set aside under ``.corrupt`` and the rolling ``.prev``
+        backup is promoted in its place, its state moved into the current
+        slot, so the caller resumes from the last good state; with neither
         file loadable the experiment simply starts fresh — corruption makes
         it *retryable*, never an exception.
         """
@@ -353,13 +344,15 @@ class ResultsStore:
             if not os.path.exists(candidate):
                 continue
             try:
-                load_checkpoint_file(candidate)
-            except (ValueError, KeyError, OSError):
+                document = load_checkpoint_file(candidate)
+            except (ValueError, OSError):
                 os.replace(candidate,
                            os.path.join(self.directory,
                                         name + self.CHECKPOINT_CORRUPT_SUFFIX))
                 continue
             if candidate is not path:
+                os.replace(document["state_path"],
+                           self.checkpoint_trial_paths(name)[2])
                 os.replace(candidate, path)
             return path
         return None
@@ -414,16 +407,21 @@ def open_history_view(path: str) -> trialstore.ColumnarHistoryView:
     Unlike :func:`load_history_document`, no records are materialized:
     numeric columns come straight off the mmap and payloads decode on
     demand through the sidecar's block index.  A checkpoint's version
-    numbers its state blob; its trial rows are those of a history.
+    numbers its state file; its trial rows are those of a history.
     """
-    with open(path) as handle:
-        document = json.load(handle)
+    document = _read_manifest(path)
     version = document.get("format_version")
     if version != (ResultsStore.CHECKPOINT_FORMAT_VERSION
                    if document.get("kind") == "checkpoint"
                    else ResultsStore.FORMAT_VERSION):
         raise ValueError("unsupported results format version: {!r}".format(version))
     return trialstore.ColumnarHistoryView(path, document)
+
+
+def _read_manifest(path: str) -> Dict[str, object]:
+    """The JSON manifest at *path*, its trial-row fields checked."""
+    with open(path) as handle:
+        return trialstore.check_manifest(json.load(handle), path)
 
 
 class SessionCheckpointer:
@@ -460,7 +458,7 @@ class SessionCheckpointer:
 
     def _trial_writer(self) -> trialstore.TrialStoreWriter:
         if self._writer is None:
-            columns_path, payloads_path = self.store.checkpoint_trial_paths(
+            columns_path, payloads_path, _ = self.store.checkpoint_trial_paths(
                 self.name)
             writer = trialstore.TrialStoreWriter(columns_path, payloads_path)
             writer.rewind(min(self._persisted, writer.count))
@@ -471,16 +469,18 @@ class SessionCheckpointer:
             self._writer = writer
         return self._writer
 
-    def build_document(self) -> Dict[str, object]:
+    def build_document(self) -> Tuple[Dict[str, object], bytes]:
+        """The manifest document and the encoded state bytes it names."""
         session = self.session
-        columns_path, payloads_path = self.store.checkpoint_trial_paths(self.name)
+        columns_path, payloads_path, state_path = \
+            self.store.checkpoint_trial_paths(self.name)
         writer = self._trial_writer()
-        state = {
+        state = statecodec.dumps({
             "algorithm": session.algorithm.export_state(),
             "backend": session.backend.export_state(),
             "batches_run": session.batches_run,
-        }
-        return {
+        })
+        document = {
             "format_version": ResultsStore.CHECKPOINT_FORMAT_VERSION,
             "kind": "checkpoint",
             "spec": self.spec.to_dict(),
@@ -490,15 +490,18 @@ class SessionCheckpointer:
             "trials": len(session.history),
             "trial_columns": os.path.basename(columns_path),
             "trial_payloads": os.path.basename(payloads_path),
-            "state": encode_state(state),
+            "state": os.path.basename(state_path),
+            "state_sha256": hashlib.sha256(state).hexdigest(),
+            "state_bytes": len(state),
             "payload_blocks": writer.blocks,
         }
+        return document, state
 
     def save(self) -> str:
         writer = self._trial_writer()
         writer.extend(self.session.history.records_since(self._persisted))
         self._persisted = writer.flush()
-        return self.store.save_checkpoint(self.name, self.build_document())
+        return self.store.save_checkpoint(self.name, *self.build_document())
 
     def close(self) -> None:
         """Release the sidecar file handles (superseded checkpointers)."""
@@ -508,24 +511,50 @@ class SessionCheckpointer:
 
 
 def load_checkpoint_file(path: str) -> Dict[str, object]:
-    """Load and validate a checkpoint document from *path*.
+    """Load and verify a checkpoint document from *path*.
 
-    The referenced trial-row prefix is read and attached under
-    ``"records"``, so corruption anywhere — manifest *or* sidecars — and
-    any format version other than 4 surface as the ``ValueError`` the
-    store's ``.prev`` fallback machinery expects.
+    The referenced trial-row prefix is attached under ``"records"``.  The
+    state slot whose length and sha256 match the manifest is decoded once
+    and attached under ``"state_tree"``, its path under ``"state_path"``.
+    Corruption anywhere — manifest, trial sidecars or state — and any format
+    version other than ``CHECKPOINT_FORMAT_VERSION`` surface as the
+    ``ValueError`` the store's ``.prev`` fallback machinery expects.
     """
-    with open(path) as handle:
-        document = json.load(handle)
+    document = _read_manifest(path)
     if document.get("kind") != "checkpoint":
         raise ValueError("{} is not a session checkpoint".format(path))
     version = document.get("format_version")
     if version != ResultsStore.CHECKPOINT_FORMAT_VERSION:
         raise ValueError("unsupported checkpoint format version: {!r}".format(
             version))
+    state_path, state = _read_state(path, document)
     document["records"] = trialstore.ColumnarHistoryView(
         path, document).record_dicts()
+    document["state_tree"] = statecodec.loads(state)
+    document["state_path"] = state_path
     return document
+
+
+def _read_state(path: str, document: Dict[str, object]) -> Tuple[str, bytes]:
+    """(slot path, bytes) of the state slot the manifest at *path* names."""
+    size = document.get("state_bytes")
+    digest = document.get("state_sha256")
+    if type(size) is not int or not isinstance(digest, str):
+        raise ValueError("{} does not record its state's length and "
+                         "sha256".format(path))
+    current = trialstore.sidecar_path(path, document, "state")
+    for slot in (current, current + ".prev"):
+        try:
+            if os.path.getsize(slot) != size:
+                continue
+            with open(slot, "rb") as handle:
+                state = handle.read()
+        except OSError:
+            continue
+        if hashlib.sha256(state).hexdigest() == digest:
+            return slot, state
+    raise ValueError("{}: no state file matches its recorded length and "
+                     "sha256".format(path))
 
 
 def restore_search_session(document: Dict[str, object], session) -> None:
@@ -534,8 +563,8 @@ def restore_search_session(document: Dict[str, object], session) -> None:
     The session must have been built from the same :class:`ExperimentSpec`
     the checkpoint embeds (which is what :meth:`Wayfinder.resume` does); the
     restore then replays the stored records into the history index and hands
-    the opaque state blob back to the algorithm, the execution backend, and
-    the simulator, after which the run loop continues exactly where the
+    the decoded state tree to the algorithm, the execution backend, and the
+    simulator, after which the run loop continues exactly where the
     checkpointed run left off.
     """
     if session.history:
@@ -543,7 +572,7 @@ def restore_search_session(document: Dict[str, object], session) -> None:
     space = session.backend.space
     for entry in document["records"]:
         session.history.add(record_from_dict(entry, space))
-    state = decode_state(document["state"])
+    state = document["state_tree"]
     session.algorithm.import_state(state["algorithm"])
     session.backend.import_state(state["backend"])
     session.batches_run = int(state["batches_run"])

@@ -403,6 +403,51 @@ def open_payload_reader(path: str,
     return BlockPayloadReader(path, blocks)
 
 
+_BLOCK_KEYS = frozenset(("offset", "size", "raw_offset", "raw_size"))
+
+
+def check_manifest(document: object, path: str) -> Dict[str, object]:
+    """*document* if its trial-row fields are well formed, else ``ValueError``.
+
+    ``trials`` must be a non-negative integer, ``trial_columns`` and
+    ``trial_payloads`` must name sidecar files, and ``payload_blocks`` must
+    be a list of block entries with non-negative integer fields.
+    """
+    if not isinstance(document, dict):
+        raise ValueError("{} is not a JSON object".format(path))
+    trials = document.get("trials")
+    if type(trials) is not int or trials < 0:
+        raise ValueError("{}: 'trials' must be a non-negative integer, "
+                         "not {!r}".format(path, trials))
+    for key in ("trial_columns", "trial_payloads"):
+        sidecar_path(path, document, key)
+    blocks = document.get("payload_blocks")
+    if not isinstance(blocks, list) or not all(
+            isinstance(block, dict) and block.keys() == _BLOCK_KEYS
+            and all(type(value) is int and value >= 0
+                    for value in block.values())
+            for block in blocks):
+        raise ValueError("{}: malformed 'payload_blocks' index".format(path))
+    return document
+
+
+def sidecar_path(manifest_path: str, document: Dict[str, object],
+                 key: str) -> str:
+    """Resolve the sidecar file the manifest field *key* names.
+
+    Only the basename counts, and it resolves next to the manifest itself,
+    so a results directory (or an archived copy of a manifest inside it)
+    stays relocatable as a unit.
+    """
+    name = document.get(key)
+    base = os.path.basename(name) if isinstance(name, str) else ""
+    if base in ("", ".", ".."):
+        raise ValueError("{}: {!r} does not name a sidecar file".format(
+            manifest_path, key))
+    directory = os.path.dirname(os.path.abspath(manifest_path))
+    return os.path.join(directory, base)
+
+
 class ColumnarHistoryView:
     """Lazy zero-copy view over one stored history/checkpoint document.
 
@@ -419,7 +464,7 @@ class ColumnarHistoryView:
         self._document = document
         self._columns: Optional[np.ndarray] = None
         self._reader: Optional[BlockPayloadReader] = None
-        self._count = int(document.get("trials", 0))
+        self._count = document["trials"]
 
     def __len__(self) -> int:
         return self._count
@@ -434,18 +479,7 @@ class ColumnarHistoryView:
         return self._document
 
     def _sidecar_path(self, key: str) -> str:
-        """Resolve a sidecar reference next to the manifest itself.
-
-        Only the basename counts, so a results directory (or an archived
-        copy of a manifest inside it) stays relocatable as a unit.
-        """
-        name = self._document.get(key)
-        if not isinstance(name, str) or not name:
-            raise ValueError(
-                "{} does not reference its trial sidecar files".format(
-                    self._manifest_path))
-        directory = os.path.dirname(os.path.abspath(self._manifest_path))
-        return os.path.join(directory, os.path.basename(name))
+        return sidecar_path(self._manifest_path, self._document, key)
 
     @property
     def columns(self) -> np.ndarray:

@@ -209,7 +209,7 @@ class SearchAlgorithm:
 
     # -- checkpointing ------------------------------------------------------------
     def export_state(self) -> dict:
-        """Snapshot the algorithm's mutable state as a picklable dictionary.
+        """Snapshot the algorithm's mutable state as builtins and arrays.
 
         The base implementation captures the sampler's RNG stream — the one
         piece of mutable state every algorithm shares.  Subclasses extend the
@@ -228,7 +228,9 @@ class SearchAlgorithm:
         and options as the exporting instance (the experiment spec guarantees
         this on the checkpoint/resume path).
         """
-        self.sampler.rng.setstate(state["sampler_rng"])
+        # saved state turns tuples into lists; setstate wants them back
+        version, internal, gauss_next = state["sampler_rng"]
+        self.sampler.rng.setstate((version, tuple(internal), gauss_next))
 
     def __repr__(self) -> str:
         return "{}(space={!r})".format(type(self).__name__, self.space.name)

@@ -199,13 +199,13 @@ class BayesianOptimizationSearch(SearchAlgorithm):
         # The GP itself is refit from the observations on every proposal, so
         # only the observation store needs to be captured.
         state = super().export_state()
-        state["X"] = [vector.copy() for vector in self._X]
+        state["X"] = np.array(self._X, dtype=np.float64)
         state["y"] = list(self._y)
         state["crashed"] = list(self._crashed)
         return state
 
     def import_state(self, state: dict) -> None:
         super().import_state(state)
-        self._X = [np.array(vector, dtype=np.float64) for vector in state["X"]]
+        self._X = list(np.array(state["X"], dtype=np.float64))
         self._y = [float(value) for value in state["y"]]
         self._crashed = [bool(flag) for flag in state["crashed"]]

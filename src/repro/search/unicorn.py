@@ -250,7 +250,7 @@ class UnicornSearch(SearchAlgorithm):
         # the point of the baseline), so only the observation store and the
         # bootstrap RNG stream are mutable state.
         state = super().export_state()
-        state["features"] = [vector.copy() for vector in self._features]
+        state["features"] = np.array(self._features, dtype=np.float64)
         state["objectives"] = list(self._objectives)
         state["bootstrap_rng"] = self.discovery._rng.bit_generator.state
         state["iteration_stats"] = [dict(entry) for entry in self.iteration_stats]
@@ -258,8 +258,7 @@ class UnicornSearch(SearchAlgorithm):
 
     def import_state(self, state: dict) -> None:
         super().import_state(state)
-        self._features = [np.array(vector, dtype=np.float64)
-                          for vector in state["features"]]
+        self._features = list(np.array(state["features"], dtype=np.float64))
         self._objectives = [float(value) for value in state["objectives"]]
         self.discovery._rng.bit_generator.state = state["bootstrap_rng"]
         self.iteration_stats = [dict(entry) for entry in state["iteration_stats"]]

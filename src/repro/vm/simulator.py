@@ -99,7 +99,9 @@ class SystemSimulator:
 
     def import_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_state`."""
-        self._rng.setstate(state["rng"])
+        # saved state turns tuples into lists; setstate wants them back
+        version, internal, gauss_next = state["rng"]
+        self._rng.setstate((version, tuple(internal), gauss_next))
 
     # -- helpers -----------------------------------------------------------------
     def crash_probability(self, configuration: Configuration) -> float:

@@ -7,7 +7,9 @@ scalability tests.
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
 
 import pytest
 
@@ -21,6 +23,19 @@ from repro.vm.simulator import SystemSimulator
 
 
 SMALL_SPACE_OPTIONS = {"extra_compile": 20, "extra_runtime": 12, "extra_boot": 4}
+
+
+def archive_checkpoint(store, name: str, path: str, tag) -> str:
+    """Copy the checkpoint at *path* into its own folder; returns the copy.
+
+    A checkpoint is its manifest plus sidecars (trial rows and the state
+    file the next save rotates away), so all of them are copied together.
+    """
+    folder = os.path.join(store.directory, "at{}".format(tag))
+    os.makedirs(folder, exist_ok=True)
+    for source in (path,) + store.checkpoint_trial_paths(name):
+        shutil.copy(source, folder)
+    return os.path.join(folder, os.path.basename(path))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ The async engine's acceptance bar mirrors the batch engine's:
 
 from __future__ import annotations
 
-import shutil
 from collections import defaultdict
 
 import pytest
@@ -35,7 +34,12 @@ from repro.platform.results import ResultsStore, load_checkpoint_file
 from repro.platform.runner import SearchSession
 from repro.search.registry import available_algorithms, create_algorithm
 
-from tests.conftest import SMALL_SPACE_OPTIONS, make_pipeline, make_pool
+from tests.conftest import (
+    SMALL_SPACE_OPTIONS,
+    archive_checkpoint,
+    make_pipeline,
+    make_pool,
+)
 from tests.test_batch_execution import (
     ALGO_OPTIONS,
     _build_algorithm,
@@ -102,8 +106,7 @@ def _full_async_run_with_checkpoints(spec, tmp_path):
     archived = []
 
     def archive(session, path):
-        copy = "{}.at{}".format(path, len(session.history))
-        shutil.copy(path, copy)
+        copy = archive_checkpoint(store, spec.name, path, len(session.history))
         archived.append((len(session.history), copy))
 
     wayfinder.add_observer(CallbackObserver(on_checkpoint=archive))
@@ -136,11 +139,8 @@ class TestAsyncResumeDeterminism:
         spec = _spec("random", 4, 9)
         _, archived = _full_async_run_with_checkpoints(spec, tmp_path)
         # at a mid-run completion event the other workers are still busy
-        from repro.platform.results import decode_state
-
         mid = [path for trials_done, path in archived if trials_done == 4][0]
-        document = load_checkpoint_file(mid)
-        state = decode_state(document["state"])
+        state = load_checkpoint_file(mid)["state_tree"]
         in_flight = state["backend"]["in_flight"]
         assert in_flight, "expected in-flight trials at a mid-run event"
         assert all("configuration" in entry and "worker" in entry

@@ -11,7 +11,6 @@ points and assert record-level equality against the uninterrupted history.
 
 from __future__ import annotations
 
-import shutil
 
 import pytest
 
@@ -26,7 +25,7 @@ from repro.platform.lifecycle import (
 )
 from repro.platform.results import ResultsStore, load_checkpoint_file
 
-from tests.conftest import SMALL_SPACE_OPTIONS
+from tests.conftest import SMALL_SPACE_OPTIONS, archive_checkpoint
 
 #: per-algorithm options keeping the model-guided phases cheap but active
 #: (mirrors tests/test_batch_execution.py).
@@ -67,8 +66,7 @@ def _full_run_with_checkpoints(spec, tmp_path):
     archived = []
 
     def archive(session, path):
-        copy = "{}.at{}".format(path, len(session.history))
-        shutil.copy(path, copy)
+        copy = archive_checkpoint(store, spec.name, path, len(session.history))
         archived.append((len(session.history), copy))
 
     wayfinder.add_observer(CallbackObserver(on_checkpoint=archive))
@@ -115,36 +113,49 @@ class TestResumeDeterminism:
 
     @pytest.mark.parametrize("name", sorted(ALGO_OPTIONS))
     def test_checkpoint_state_names_no_repro_class(self, name, tmp_path):
-        """Checkpoint state is builtins and NumPy arrays: unpickling it
-        imports nothing from this package."""
-        import base64
+        """The state file loads with ``allow_pickle=False`` into builtins
+        and NumPy arrays only: no class of this package, no object array."""
         import io
         import json
-        import pickle
+
+        import numpy as np
 
         spec = _spec(name, 1, 6)
         wayfinder = Wayfinder.from_spec(spec)
         store = ResultsStore(str(tmp_path))
         wayfinder.enable_checkpointing(store, name=spec.name, every=1)
         wayfinder.specialize()
-        with open(store.checkpoint_path(spec.name)) as handle:
-            blob = base64.b64decode(json.load(handle)["state"])
-        classes = []
+        with open(store.checkpoint_trial_paths(spec.name)[2], "rb") as handle:
+            data = handle.read()
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        tree = json.loads(arrays.pop("tree").tobytes())
+        leaves = []
 
-        class RecordingUnpickler(pickle.Unpickler):
-            def find_class(self, module, qualname):
-                classes.append("{}.{}".format(module, qualname))
-                return super().find_class(module, qualname)
+        def walk(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    walk(value)
+            elif isinstance(node, list):
+                for value in node:
+                    walk(value)
+            else:
+                leaves.append(node)
 
-        state = RecordingUnpickler(io.BytesIO(blob)).load()
-        assert [c for c in classes if c.split(".")[0] == "repro"] == []
-        if name == "deeptune":  # the recorder sees the model's arrays
-            assert any(c.startswith("numpy.") for c in classes)
+        walk(tree)
+        assert {type(leaf) for leaf in leaves} <= {str, int, float, bool,
+                                                   type(None)}
+        assert all(not array.dtype.hasobject for array in arrays.values())
+        state = load_checkpoint_file(store.checkpoint_path(spec.name))[
+            "state_tree"]
+        if name == "deeptune":
             # six trials with three warmup ones: the candidate pool has
             # drawn, and its generator state is plain builtins
             pool_rng = state["algorithm"]["pool_rng"]
             assert pool_rng["bit_generator"] == "PCG64"
             assert isinstance(pool_rng["state"]["state"], int)
+            assert isinstance(state["algorithm"]["model"]["features"],
+                              np.ndarray)
 
     def test_resumed_prefix_matches_stored_records(self, tmp_path):
         spec = _spec("random", 4, 9)
@@ -270,6 +281,11 @@ class TestCheckpointStore:
         has no ``pool_rng`` and its pools came from another algorithm, so
         the version check refuses it before the state is read."""
         self._refuses_rewritten_version(tmp_path, 4)
+
+    def test_pickled_state_checkpoint_is_refused(self, tmp_path):
+        """Format 5 embedded its state in the manifest as pickled base64;
+        no reader for it is kept."""
+        self._refuses_rewritten_version(tmp_path, 5)
 
     def test_restore_requires_fresh_session(self, tmp_path):
         spec = _spec("random", 1, 4)

@@ -11,7 +11,6 @@ start only changes the model's starting weights, never the RNG streams.
 from __future__ import annotations
 
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from repro.platform.lifecycle import CallbackObserver
 from repro.platform.results import ResultsStore
 from repro.vm.os_model import linux_os_model
 
-from tests.conftest import SMALL_SPACE_OPTIONS
+from tests.conftest import SMALL_SPACE_OPTIONS, archive_checkpoint
 
 #: keeps the model-guided phases cheap but active (mirrors
 #: tests/test_checkpoint_resume.py).
@@ -293,8 +292,8 @@ class TestWarmStartResume:
         archived = []
 
         def archive(session, path):
-            copy = "{}.at{}".format(path, len(session.history))
-            shutil.copy(path, copy)
+            copy = archive_checkpoint(store, spec.name, path,
+                                      len(session.history))
             archived.append((len(session.history), copy))
 
         wayfinder.add_observer(CallbackObserver(on_checkpoint=archive))

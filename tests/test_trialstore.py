@@ -249,7 +249,7 @@ class TestManifestFallback:
 
     def test_corrupt_sidecar_fails_over_like_a_corrupt_manifest(self, tmp_path):
         store, _ = self._checkpointed_store(tmp_path)
-        columns_path, _ = store.checkpoint_trial_paths("torn")
+        columns_path = store.checkpoint_trial_paths("torn")[0]
         with open(columns_path, "r+b") as handle:
             handle.write(b"NOTMAGIC")
         # both manifests now reference unreadable sidecars → fresh start
