@@ -396,14 +396,16 @@ def _command_run(args: argparse.Namespace) -> int:
         if os.path.exists(args.resume):
             checkpoint_path = args.resume
         elif store is not None:
-            checkpoint_path = store.checkpoint_path(args.resume)
+            # a damaged checkpoint falls back to its .prev backup, as in
+            # campaigns
+            checkpoint_path = store.latest_valid_checkpoint(args.resume)
+            if checkpoint_path is None:
+                print("--resume: no checkpoint named {} loads from {}".format(
+                    args.resume, args.results), file=sys.stderr)
+                return 2
         else:
             print("--resume needs a checkpoint file path or --results to "
                   "locate the named checkpoint", file=sys.stderr)
-            return 2
-        if not os.path.exists(checkpoint_path):
-            print("--resume: no checkpoint at {}".format(checkpoint_path),
-                  file=sys.stderr)
             return 2
         # the checkpoint's spec defines the experiment: budget flags extend
         # it, any other spec flag would contradict the restored state.
@@ -417,7 +419,11 @@ def _command_run(args: argparse.Namespace) -> int:
                   "checkpointed state depends on it)".format(
                       ", ".join(sorted(fields))), file=sys.stderr)
             return 2
-        wayfinder = Wayfinder.resume(checkpoint_path)
+        try:
+            wayfinder = Wayfinder.resume(checkpoint_path)
+        except (OSError, ValueError) as error:
+            print("--resume: {}".format(error), file=sys.stderr)
+            return 2
         if budget:
             wayfinder.spec = wayfinder.spec.with_overrides(**budget)
         spec = wayfinder.spec

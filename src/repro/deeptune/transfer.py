@@ -185,7 +185,8 @@ def load_zoo_index(zoo_dir: str) -> Dict[str, Dict[str, Any]]:
     try:
         with open(path) as handle:
             document = json.load(handle)
-        if document.get("format_version") != ZOO_FORMAT_VERSION:
+        if not isinstance(document, dict) \
+                or document.get("format_version") != ZOO_FORMAT_VERSION:
             return {}
         entries = document.get("entries")
         return dict(entries) if isinstance(entries, dict) else {}

@@ -147,18 +147,19 @@ def cleanup_stale_tmp_files(directory: str) -> List[str]:
 class ResultsStore:
     """Save and load exploration histories and checkpoints as JSON documents."""
 
-    FORMAT_VERSION = 3
-    CHECKPOINT_FORMAT_VERSION = 6
+    FORMAT_VERSION = 4
+    CHECKPOINT_FORMAT_VERSION = 7
     CHECKPOINT_SUFFIX = ".checkpoint.json"
     #: columnar sidecars holding the trial rows a manifest references (see
     #: :mod:`repro.platform.trialstore`): fixed-width numeric columns in
     #: ``.trials.bin``, variable-width configuration payloads in
-    #: ``.trials.jsonl``, block-compressed with its index carried in the
-    #: manifest as ``payload_blocks``.  Manifests carry only metadata,
-    #: summaries, a ``trials`` row count and that index.  Format version 3
-    #: is the only one read or written: documents of any other version
-    #: (the inline records of version 1, the raw sidecars of version 2)
-    #: are rejected with ``ValueError``.
+    #: ``.trials.jsonl``, block-compressed against its first block, its
+    #: block index rebuilt from the frame headers.  Manifests carry only
+    #: metadata, summaries and a ``trials`` row count, so their size does
+    #: not grow with the history.  Format version 4 is the only one read
+    #: or written: documents of any other version (inline records, raw
+    #: sidecars, or the manifest-carried block index of version 3) are
+    #: rejected with ``ValueError``.
     TRIAL_COLUMNS_SUFFIX = ".trials.bin"
     TRIAL_PAYLOADS_SUFFIX = ".trials.jsonl"
     #: a checkpoint's algorithm/backend state (a :mod:`repro.statecodec`
@@ -218,8 +219,7 @@ class ResultsStore:
         columns_path, payloads_path = self.history_trial_paths(name)
         records = history.records_since(0)
         columns, payloads = trialstore.serialize_records(records)
-        frames, blocks = trialstore.compress_payload_blocks(
-            payloads, 0, trialstore.PAYLOAD_HEADER_SIZE)
+        frames, _ = trialstore.compress_payload_blocks(payloads, None)
         atomic_write_bytes(columns_path, trialstore.make_header() + columns)
         atomic_write_bytes(payloads_path,
                            trialstore.make_payload_header() + frames)
@@ -231,7 +231,6 @@ class ResultsStore:
             "trials": len(records),
             "trial_columns": os.path.basename(columns_path),
             "trial_payloads": os.path.basename(payloads_path),
-            "payload_blocks": blocks,
         }
         text = json.dumps(document, separators=(",", ":")) + "\n"
         return atomic_write_text(self._path(name), text)
@@ -260,8 +259,11 @@ class ResultsStore:
 
     def load_metadata(self, name: str) -> Dict[str, object]:
         """Load only the metadata and summary blocks of a stored history."""
-        with open(self._path(name)) as handle:
+        path = self._path(name)
+        with open(path) as handle:
             document = json.load(handle)
+        if not isinstance(document, dict):
+            raise ValueError("{} is not a JSON object".format(path))
         return {"metadata": document.get("metadata", {}),
                 "summary": document.get("summary", {})}
 
@@ -474,7 +476,6 @@ class SessionCheckpointer:
         session = self.session
         columns_path, payloads_path, state_path = \
             self.store.checkpoint_trial_paths(self.name)
-        writer = self._trial_writer()
         state = statecodec.dumps({
             "algorithm": session.algorithm.export_state(),
             "backend": session.backend.export_state(),
@@ -493,7 +494,6 @@ class SessionCheckpointer:
             "state": os.path.basename(state_path),
             "state_sha256": hashlib.sha256(state).hexdigest(),
             "state_bytes": len(state),
-            "payload_blocks": writer.blocks,
         }
         return document, state
 

@@ -45,7 +45,7 @@ Around that core the session exposes a lifecycle:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.config.space import Configuration
 from repro.platform.executor import EXECUTION_MODES, WorkerPoolBackend
@@ -57,7 +57,9 @@ from repro.platform.lifecycle import (
     TimeBudget,
 )
 from repro.platform.metrics import Metric
-from repro.search.base import SearchAlgorithm
+
+if TYPE_CHECKING:  # annotation only: repro.search imports repro.platform
+    from repro.search.base import SearchAlgorithm
 
 
 class SessionResult:

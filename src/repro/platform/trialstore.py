@@ -12,16 +12,19 @@ Each row carries the byte offset and length of its payload line *in the
 uncompressed payload stream*, so both files support random access and
 prefix truncation.
 
-The payload sidecar is block-compressed (format v3, the only format): the
+The payload sidecar is block-compressed (format v4, the only format): the
 line stream is cut at line boundaries into zlib-compressed blocks, each
-framed by a small header (:data:`BLOCK_MAGIC`, compressed size, raw size)
-behind a file-level magic header.  Row offsets are *logical*
-(uncompressed-stream) offsets; the block index maps logical ranges to
-physical frames.  The index travels in the JSON manifest
-(``payload_blocks``) so readers seek without scanning, and is recoverable
-from the frames alone (:func:`scan_payload_blocks`) so the writer needs no
-manifest.  A sidecar without the magic header is rejected with
-``ValueError``; the raw-JSONL sidecars of earlier formats are not read.
+framed by a small header (magic, compressed size, raw size) behind a
+file-level magic header.  The first block is a plain zlib frame
+(:data:`BLOCK_MAGIC`); every later block is compressed with the first
+block's raw bytes as zlib preset dictionary (:data:`DICT_BLOCK_MAGIC`), so
+a one-row frame costs tens of bytes instead of a whole compressed line.
+Row offsets are *logical* (uncompressed-stream) offsets; the block index
+that maps logical ranges to physical frames is rebuilt from the frame
+headers alone (:func:`scan_payload_blocks`), so no manifest carries it and
+a checkpoint save costs the same at any history length.  A sidecar
+without the magic header, or of another layout version, is rejected with
+``ValueError``.
 
 Two properties carry the crash-safety story:
 
@@ -32,9 +35,12 @@ Two properties carry the crash-safety story:
   manifest fallback of :class:`~repro.platform.results.ResultsStore` keeps
   working unchanged because an older manifest simply references a shorter
   prefix of the same files — a shorter prefix of *whole blocks*, because
-  manifests are only ever written at block boundaries.
+  manifests are only ever written at block boundaries.  Readers scan
+  frames only up to the payload end of a manifest's last row, so frames
+  past that prefix (a later save's, a torn tail) never fail it.
 * **Deterministic bytes** — a trial's row and sidecar line are pure
-  functions of the record, and the platform's bit-exact resume invariant
+  functions of the record, every frame a pure function of its lines and
+  the first block's, and the platform's bit-exact resume invariant
   means every worker (re)computes identical records.  A presumed-dead
   writer waking up therefore re-writes the same bytes at the same offsets
   it would have written anyway, never diverging content.
@@ -112,11 +118,14 @@ def check_header(header: bytes, path: str) -> None:
 
 #: file magic + layout version of a block-compressed payload sidecar.
 PAYLOAD_MAGIC = b"REPROPLZ"
-PAYLOAD_LAYOUT_VERSION = 1
+PAYLOAD_LAYOUT_VERSION = 2
 PAYLOAD_HEADER_SIZE = 16  # magic (8) + version (u4) + reserved (u4)
 
-#: per-block frame: magic (4) + compressed size (u4) + raw size (u4).
+#: per-block frame: magic (4) + compressed size (u4) + raw size (u4).  The
+#: first block is plain zlib; every later one is zlib with the first
+#: block's raw bytes as preset dictionary.
 BLOCK_MAGIC = b"RPLB"
+DICT_BLOCK_MAGIC = b"RPLD"
 BLOCK_HEADER_SIZE = 12
 
 #: target uncompressed bytes per block.  Blocks only split at payload line
@@ -141,23 +150,20 @@ def check_payload_header(header: bytes, path: str) -> None:
 
 
 def compress_payload_blocks(
-        payload: bytes, raw_offset: int, physical_offset: int,
+        payload: bytes, dictionary: Optional[bytes],
         block_raw_bytes: int = DEFAULT_BLOCK_RAW_BYTES,
-        level: int = 6) -> Tuple[bytes, List[Dict[str, int]]]:
+        level: int = 6) -> Tuple[bytes, Optional[bytes]]:
     """Frame *payload* (whole JSON lines) into compressed blocks.
 
-    Returns ``(frames, entries)``: the bytes to append at *physical_offset*
-    and the matching index entries (``offset``/``size`` are physical frame
-    positions, ``raw_offset``/``raw_size`` the logical uncompressed range
-    starting at *raw_offset*).  Blocks split only at line boundaries, so
-    every row's payload line decodes from whole blocks.  ``zlib.compress``
-    is deterministic, preserving the store's deterministic-bytes invariant.
+    *dictionary* is the raw bytes of the sidecar's first block, or ``None``
+    when *payload* starts the sidecar: its first block is then framed plain
+    and becomes the dictionary every later block is compressed against.
+    Returns ``(frames, dictionary)``.  Blocks split only at line boundaries,
+    so every row's payload line decodes from whole blocks, and zlib is
+    deterministic, preserving the deterministic-bytes invariant.
     """
     frames: List[bytes] = []
-    entries: List[Dict[str, int]] = []
     position = 0
-    physical = physical_offset
-    logical = raw_offset
     total = len(payload)
     while position < total:
         cut = position + block_raw_bytes
@@ -167,65 +173,80 @@ def compress_payload_blocks(
             boundary = payload.find(b"\n", cut - 1)
             cut = total if boundary < 0 else boundary + 1
         chunk = payload[position:cut]
-        compressed = zlib.compress(chunk, level)
-        frame = BLOCK_MAGIC + struct.pack(
-            "<II", len(compressed), len(chunk)) + compressed
-        frames.append(frame)
-        entries.append({"offset": physical, "size": len(frame),
-                        "raw_offset": logical, "raw_size": len(chunk)})
-        physical += len(frame)
-        logical += len(chunk)
+        if dictionary is None:
+            magic, compressed, dictionary = \
+                BLOCK_MAGIC, zlib.compress(chunk, level), chunk
+        else:
+            compressor = zlib.compressobj(level, zdict=dictionary)
+            magic = DICT_BLOCK_MAGIC
+            compressed = compressor.compress(chunk) + compressor.flush()
+        frames.append(magic + struct.pack("<II", len(compressed), len(chunk))
+                      + compressed)
         position = cut
-    return b"".join(frames), entries
+    return b"".join(frames), dictionary
 
 
-def decode_payload_block(frame: bytes, path: str) -> bytes:
-    """Decompress one framed block; raises ``ValueError`` on any corruption."""
-    if len(frame) < BLOCK_HEADER_SIZE or frame[:4] != BLOCK_MAGIC:
+def decode_payload_block(frame: bytes, path: str,
+                         dictionary: Optional[bytes]) -> bytes:
+    """Decompress one framed block; raises ``ValueError`` on any corruption.
+
+    *dictionary* is ``None`` for the sidecar's first block and that block's
+    raw bytes for every later one.  A damaged dictionary fails the zlib
+    dictionary check, so no later block ever decodes to wrong bytes.
+    """
+    magic = BLOCK_MAGIC if dictionary is None else DICT_BLOCK_MAGIC
+    if len(frame) < BLOCK_HEADER_SIZE or frame[:4] != magic:
         raise ValueError("{} holds a corrupt payload block".format(path))
     compressed_size, raw_size = struct.unpack("<II", frame[4:BLOCK_HEADER_SIZE])
     body = frame[BLOCK_HEADER_SIZE:BLOCK_HEADER_SIZE + compressed_size]
     if len(body) < compressed_size:
         raise ValueError("{} holds a truncated payload block".format(path))
+    decompressor = (zlib.decompressobj() if dictionary is None
+                    else zlib.decompressobj(zdict=dictionary))
     try:
-        raw = zlib.decompress(body)
+        raw = decompressor.decompress(body)
     except zlib.error as error:
         raise ValueError(
             "{} holds an undecodable payload block: {}".format(path, error))
-    if len(raw) != raw_size:
+    if not decompressor.eof or decompressor.unused_data \
+            or len(raw) != raw_size:
         raise ValueError(
             "{} holds a payload block of unexpected size".format(path))
     return raw
 
 
-def scan_payload_blocks(path: str) -> List[Dict[str, int]]:
-    """Recover the block index of *path* by walking its frames.
+def scan_payload_blocks(path: str,
+                        end: Optional[int] = None) -> List[Dict[str, int]]:
+    """Recover the block index of *path* from its frame headers.
 
-    A torn tail (incomplete frame header or body) ends the scan cleanly —
-    exactly the prefix-validity rule: complete frames stay valid forever.
-    Garbage *within* the walked region raises ``ValueError``.
+    With *end* given the scan stops at the first block reaching logical
+    offset *end* (a manifest's last payload byte), so nothing past that
+    prefix is read.  The scan also ends at the first frame it cannot walk —
+    a torn tail (incomplete header or body) or bytes that are not the next
+    frame's header — which is the prefix-validity rule: the complete frames
+    before it stay valid, and rows referencing past them fail in the reader
+    (a ``ValueError``) and are dropped by the writer.
     """
     blocks: List[Dict[str, int]] = []
     with open(path, "rb") as handle:
         check_payload_header(handle.read(PAYLOAD_HEADER_SIZE), path)
+        size = os.fstat(handle.fileno()).st_size
         physical = PAYLOAD_HEADER_SIZE
         raw_offset = 0
-        while True:
+        while end is None or raw_offset < end:
             frame_header = handle.read(BLOCK_HEADER_SIZE)
-            if len(frame_header) < BLOCK_HEADER_SIZE:
+            magic = DICT_BLOCK_MAGIC if blocks else BLOCK_MAGIC
+            if len(frame_header) < BLOCK_HEADER_SIZE \
+                    or frame_header[:4] != magic:
                 break
-            if frame_header[:4] != BLOCK_MAGIC:
-                raise ValueError(
-                    "{} holds a corrupt payload block at byte {}".format(
-                        path, physical))
             compressed_size, raw_size = struct.unpack("<II", frame_header[4:])
-            body = handle.read(compressed_size)
-            if len(body) < compressed_size:
+            frame_size = BLOCK_HEADER_SIZE + compressed_size
+            if physical + frame_size > size:
                 break
-            size = BLOCK_HEADER_SIZE + compressed_size
-            blocks.append({"offset": physical, "size": size,
+            blocks.append({"offset": physical, "size": frame_size,
                            "raw_offset": raw_offset, "raw_size": raw_size})
-            physical += size
+            handle.seek(compressed_size, os.SEEK_CUR)
+            physical += frame_size
             raw_offset += raw_size
     return blocks
 
@@ -321,20 +342,34 @@ def open_columns(path: str, count: int) -> np.ndarray:
     return columns
 
 
+def payload_end(columns: np.ndarray) -> int:
+    """Logical end of the last payload line *columns* reference (0 if none)."""
+    if len(columns) == 0:
+        return 0
+    last = columns[-1]
+    return int(last["payload_offset"] + last["payload_length"])
+
+
 class BlockPayloadReader:
     """Random access over a block-compressed payload sidecar.
 
     Offsets are logical (uncompressed-stream) positions — the same offsets
-    trial rows carry.  A small LRU of decompressed blocks makes sequential
-    row iteration decompress each block once.
+    trial rows carry.  The block index is rebuilt by
+    :func:`scan_payload_blocks`, up to logical offset *end* when given (a
+    manifest's payload end), so frames past that prefix are never read; a
+    file without the sidecar header raises ``ValueError``.  The first block
+    (every later block's dictionary) is decoded once per reader, and a
+    small LRU of decompressed blocks makes sequential row iteration
+    decompress each block once.
     """
 
     _CACHE_BLOCKS = 4
 
-    def __init__(self, path: str, blocks: Sequence[Dict[str, int]]) -> None:
+    def __init__(self, path: str, end: Optional[int] = None) -> None:
         self._path = path
-        self._blocks = [dict(block) for block in blocks]
-        self._starts = [int(block["raw_offset"]) for block in self._blocks]
+        self._blocks = scan_payload_blocks(path, end)
+        self._starts = [block["raw_offset"] for block in self._blocks]
+        self._dictionary: Optional[bytes] = None
         self._cache: "OrderedDict[int, bytes]" = OrderedDict()
 
     @property
@@ -343,21 +378,29 @@ class BlockPayloadReader:
         if not self._blocks:
             return 0
         last = self._blocks[-1]
-        return int(last["raw_offset"]) + int(last["raw_size"])
+        return last["raw_offset"] + last["raw_size"]
+
+    def _decode(self, position: int) -> bytes:
+        dictionary = self._first_block() if position else None
+        block = self._blocks[position]
+        with open(self._path, "rb") as handle:
+            handle.seek(block["offset"])
+            frame = handle.read(block["size"])
+        return decode_payload_block(frame, self._path, dictionary)
+
+    def _first_block(self) -> bytes:
+        if self._dictionary is None:
+            self._dictionary = self._decode(0)
+        return self._dictionary
 
     def _load(self, position: int) -> bytes:
+        if position == 0:
+            return self._first_block()
         cached = self._cache.get(position)
         if cached is not None:
             self._cache.move_to_end(position)
             return cached
-        block = self._blocks[position]
-        with open(self._path, "rb") as handle:
-            handle.seek(int(block["offset"]))
-            frame = handle.read(int(block["size"]))
-        raw = decode_payload_block(frame, self._path)
-        if len(raw) != int(block["raw_size"]):
-            raise ValueError(
-                "{} holds a payload block of unexpected size".format(self._path))
+        raw = self._decode(position)
         self._cache[position] = raw
         while len(self._cache) > self._CACHE_BLOCKS:
             self._cache.popitem(last=False)
@@ -376,8 +419,8 @@ class BlockPayloadReader:
         while cursor < end:
             block = self._blocks[position]
             raw = self._load(position)
-            start = cursor - int(block["raw_offset"])
-            take = min(end, int(block["raw_offset"]) + int(block["raw_size"])) - cursor
+            start = cursor - block["raw_offset"]
+            take = min(end, block["raw_offset"] + block["raw_size"]) - cursor
             pieces.append(raw[start:start + take])
             cursor += take
             position += 1
@@ -387,31 +430,11 @@ class BlockPayloadReader:
         return self.read(0, end)
 
 
-def open_payload_reader(path: str,
-                        blocks: Optional[Sequence[Dict[str, int]]] = None
-                        ) -> BlockPayloadReader:
-    """A reader over the block-compressed sidecar at *path*.
-
-    *blocks* is the manifest-carried index; when absent it is recovered by
-    :func:`scan_payload_blocks`.  A file without the sidecar header raises
-    ``ValueError``.
-    """
-    with open(path, "rb") as handle:
-        check_payload_header(handle.read(PAYLOAD_HEADER_SIZE), path)
-    if blocks is None:
-        blocks = scan_payload_blocks(path)
-    return BlockPayloadReader(path, blocks)
-
-
-_BLOCK_KEYS = frozenset(("offset", "size", "raw_offset", "raw_size"))
-
-
 def check_manifest(document: object, path: str) -> Dict[str, object]:
     """*document* if its trial-row fields are well formed, else ``ValueError``.
 
-    ``trials`` must be a non-negative integer, ``trial_columns`` and
-    ``trial_payloads`` must name sidecar files, and ``payload_blocks`` must
-    be a list of block entries with non-negative integer fields.
+    ``trials`` must be a non-negative integer and ``trial_columns`` and
+    ``trial_payloads`` must name sidecar files.
     """
     if not isinstance(document, dict):
         raise ValueError("{} is not a JSON object".format(path))
@@ -421,13 +444,6 @@ def check_manifest(document: object, path: str) -> Dict[str, object]:
                          "not {!r}".format(path, trials))
     for key in ("trial_columns", "trial_payloads"):
         sidecar_path(path, document, key)
-    blocks = document.get("payload_blocks")
-    if not isinstance(blocks, list) or not all(
-            isinstance(block, dict) and block.keys() == _BLOCK_KEYS
-            and all(type(value) is int and value >= 0
-                    for value in block.values())
-            for block in blocks):
-        raise ValueError("{}: malformed 'payload_blocks' index".format(path))
     return document
 
 
@@ -454,9 +470,10 @@ class ColumnarHistoryView:
     The view is the streaming read tier for analysis: numeric aggregation
     (best objective, per-iteration cost, crash counts) runs on mmap-backed
     column views and never opens the payload sidecar; payload access is
-    per-row and on-demand through the sidecar's block index, so decoding
-    one configuration from a 10⁵-trial store touches one block, not the
-    whole file.
+    per-row and on-demand through the sidecar's block index (rebuilt from
+    the frame headers of the referenced prefix), so decoding one
+    configuration from a 10⁵-trial store decompresses one block and the
+    dictionary block, not the whole file.
     """
 
     def __init__(self, manifest_path: str, document: Dict[str, object]) -> None:
@@ -524,9 +541,9 @@ class ColumnarHistoryView:
 
     def _payload_reader(self) -> BlockPayloadReader:
         if self._reader is None:
-            self._reader = open_payload_reader(
+            self._reader = BlockPayloadReader(
                 self._sidecar_path("trial_payloads"),
-                self._document.get("payload_blocks"))
+                payload_end(self.columns))
         return self._reader
 
     def payload(self, position: int) -> Dict[str, object]:
@@ -547,12 +564,9 @@ class ColumnarHistoryView:
         full read costs each block one decompression.
         """
         columns = self.columns
-        payloads_path = self._sidecar_path("trial_payloads")
         if len(columns) == 0:
             return []
-        end = int(columns["payload_offset"][-1] + columns["payload_length"][-1])
-        blob = open_payload_reader(
-            payloads_path, self._document.get("payload_blocks")).read_prefix(end)
+        blob = self._payload_reader().read_prefix(payload_end(columns))
         payloads = [json.loads(blob[int(offset):int(offset + length)])
                     for offset, length in zip(columns["payload_offset"],
                                               columns["payload_length"])]
@@ -572,10 +586,11 @@ class TrialStoreWriter:
     at any instant leaves the manifest pointing at a fully durable prefix.
 
     Every flush frames its payload bytes into whole zlib blocks of the
-    block-compressed sidecar, and :attr:`blocks` exposes the durable block
-    index for manifest embedding.  A store with no durable rows gets a
-    fresh sidecar header whatever a crash left in the file; a sidecar
-    without the header under durable rows raises ``ValueError``.
+    block-compressed sidecar, compressed against the first block's raw
+    bytes, which the writer keeps in memory (decoded from disk on reopen).
+    A store with no durable rows gets a fresh sidecar header whatever a
+    crash left in the file; a sidecar without the header under durable
+    rows raises ``ValueError``.
     """
 
     def __init__(self, columns_path: str, payloads_path: str,
@@ -585,9 +600,9 @@ class TrialStoreWriter:
         self._block_raw_bytes = int(block_raw_bytes)
         self.count = 0
         self._pending: List[TrialRecord] = []
-        self._blocks: List[Dict[str, int]] = []
+        #: raw bytes of the sidecar's first block, ``None`` while empty.
+        self._dictionary: Optional[bytes] = None
         self._payload_offset = 0
-        self._physical_end = PAYLOAD_HEADER_SIZE
         created = not os.path.exists(columns_path)
         self._columns = open(columns_path, "a+b")
         self._payloads = open(payloads_path, "a+b")
@@ -623,14 +638,18 @@ class TrialStoreWriter:
             self._payloads.write(make_payload_header())
             self._payloads.flush()
         else:
-            self._blocks = scan_payload_blocks(self.payloads_path)
-            coverage = 0
-            if self._blocks:
-                last = self._blocks[-1]
-                coverage = int(last["raw_offset"]) + int(last["raw_size"])
-            # rows referencing past the complete blocks lost their payload
-            # to a torn frame; drop them with it.
             columns = open_columns(self.columns_path, self.count)
+            blocks = scan_payload_blocks(self.payloads_path,
+                                         payload_end(columns))
+            if blocks:
+                try:
+                    self._dictionary = self._decode(blocks[0])
+                except ValueError:
+                    blocks = []  # no row decodes without the first block
+            coverage = (blocks[-1]["raw_offset"] + blocks[-1]["raw_size"]
+                        if blocks else 0)
+            # rows referencing past the complete blocks lost their payload
+            # to a torn or undecodable frame; drop them with it.
             ends = np.asarray(
                 columns["payload_offset"] + columns["payload_length"],
                 dtype=np.int64)
@@ -641,62 +660,53 @@ class TrialStoreWriter:
         self._columns.seek(0, os.SEEK_END)
         self._payloads.seek(0, os.SEEK_END)
 
-    @property
-    def blocks(self) -> List[Dict[str, int]]:
-        """Durable block index copies for manifest embedding."""
-        return [dict(block) for block in self._blocks]
-
     def _payload_end(self, count: int) -> int:
         if count == 0:
             return 0
-        columns = open_columns(self.columns_path, count)
-        last = columns[count - 1]
-        return int(last["payload_offset"] + last["payload_length"])
+        return payload_end(open_columns(self.columns_path, count))
+
+    def _decode(self, block: Dict[str, int]) -> bytes:
+        """The raw bytes of the durable *block*."""
+        self._payloads.seek(block["offset"])
+        frame = self._payloads.read(block["size"])
+        return decode_payload_block(
+            frame, self.payloads_path,
+            self._dictionary if block["raw_offset"] else None)
 
     def _trim_blocks(self, target_raw_end: int) -> None:
         """Truncate the compressed sidecar to *target_raw_end* logical bytes.
 
         Whole blocks past the target are dropped; a block straddling it is
-        split — its surviving prefix re-framed as a fresh block — so the
-        durable stream ends exactly at the last referenced payload byte.
-        Only blocks past the last manifest write are ever split (manifests
-        land at flush — hence block — boundaries), so indexes embedded in
-        older manifests keep referencing untouched frames.
+        split — its surviving prefix re-framed as a fresh block (plain when
+        it is the first block, whose prefix becomes the new dictionary) —
+        so the durable stream ends exactly at the last referenced payload
+        byte.  Only blocks past the last manifest write are ever split
+        (manifests land at flush — hence block — boundaries), so older
+        manifests keep referencing untouched frames.
         """
-        kept: List[Dict[str, int]] = []
-        covered = 0
-        physical = PAYLOAD_HEADER_SIZE
-        straddler: Optional[Dict[str, int]] = None
-        for block in self._blocks:
-            end = int(block["raw_offset"]) + int(block["raw_size"])
-            if end <= target_raw_end:
-                kept.append(block)
-                covered = end
-                physical = int(block["offset"]) + int(block["size"])
-            elif int(block["raw_offset"]) < target_raw_end:
-                straddler = block
-                break
-            else:
-                break
+        blocks = scan_payload_blocks(self.payloads_path, target_raw_end)
+        covered = (blocks[-1]["raw_offset"] + blocks[-1]["raw_size"]
+                   if blocks else 0)
+        if covered < target_raw_end:
+            raise ValueError("{} is shorter than its trial rows "
+                             "reference".format(self.payloads_path))
         prefix = b""
-        if straddler is not None:
+        if covered > target_raw_end:
             # read the straddling block's bytes *before* truncating them away.
-            self._payloads.seek(int(straddler["offset"]))
-            frame = self._payloads.read(int(straddler["size"]))
-            raw = decode_payload_block(frame, self.payloads_path)
-            prefix = raw[:target_raw_end - int(straddler["raw_offset"])]
-        self._payloads.truncate(physical)
-        self._payloads.seek(0, os.SEEK_END)
+            straddler = blocks.pop()
+            prefix = self._decode(straddler)[
+                :target_raw_end - straddler["raw_offset"]]
+        if not blocks:
+            self._dictionary = None
+        self._payloads.truncate(blocks[-1]["offset"] + blocks[-1]["size"]
+                                if blocks else PAYLOAD_HEADER_SIZE)
         if prefix:
-            frames, entries = compress_payload_blocks(
-                prefix, covered, physical, self._block_raw_bytes)
+            frames, self._dictionary = compress_payload_blocks(
+                prefix, self._dictionary, self._block_raw_bytes)
+            self._payloads.seek(0, os.SEEK_END)
             self._payloads.write(frames)
-            kept.extend(entries)
-            physical += len(frames)
         self._payloads.flush()
         os.fsync(self._payloads.fileno())
-        self._blocks = kept
-        self._physical_end = physical
 
     def rewind(self, count: int) -> None:
         """Truncate both files to exactly *count* rows and position after them."""
@@ -706,13 +716,13 @@ class TrialStoreWriter:
             raise ValueError(
                 "cannot rewind to {} rows: only {} are on disk".format(
                     count, self.count))
-        payload_end = self._payload_end(count)
+        raw_end = self._payload_end(count)
         self._columns.truncate(HEADER_SIZE + count * TRIAL_DTYPE.itemsize)
-        self._trim_blocks(payload_end)
+        self._trim_blocks(raw_end)
         self._columns.seek(0, os.SEEK_END)
         self._payloads.seek(0, os.SEEK_END)
         self.count = count
-        self._payload_offset = payload_end
+        self._payload_offset = raw_end
 
     def append(self, record: TrialRecord) -> None:
         """Buffer one record for the next :meth:`flush`."""
@@ -726,14 +736,11 @@ class TrialStoreWriter:
         if self._pending:
             columns, payloads = serialize_records(self._pending,
                                                   self._payload_offset)
-            frames, entries = compress_payload_blocks(
-                payloads, self._payload_offset, self._physical_end,
-                self._block_raw_bytes)
+            frames, self._dictionary = compress_payload_blocks(
+                payloads, self._dictionary, self._block_raw_bytes)
             self._payloads.write(frames)
             self._payloads.flush()
             os.fsync(self._payloads.fileno())
-            self._blocks.extend(entries)
-            self._physical_end += len(frames)
             self._columns.write(columns)
             self._columns.flush()
             os.fsync(self._columns.fileno())

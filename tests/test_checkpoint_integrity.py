@@ -24,12 +24,15 @@ from hypothesis import strategies as st
 from repro import statecodec
 from repro.core.spec import ExperimentSpec
 from repro.core.wayfinder import Wayfinder
+from repro.platform import trialstore
+from repro.platform.history import TrialRecord
 from repro.platform.lifecycle import CallbackObserver
 from repro.platform.results import (
     ResultsStore,
     SessionCheckpointer,
     load_checkpoint_file,
 )
+from repro.vm.failures import FailureStage
 
 from tests.conftest import SMALL_SPACE_OPTIONS
 
@@ -104,10 +107,7 @@ class TestManifestFields:
     @pytest.mark.parametrize("key, value", [
         ("trials", None), ("trials", 2.5), ("trials", -1), ("trials", True),
         ("trial_columns", None), ("trial_payloads", ".."),
-        ("payload_blocks", None), ("payload_blocks", [[1]]),
-        ("payload_blocks", [{"offset": 0}]),
-        ("payload_blocks", [{"offset": -1, "size": 1, "raw_offset": 0,
-                             "raw_size": 1}]),
+        ("format_version", None), ("format_version", 6), ("kind", "history"),
         ("state", None), ("state_bytes", "12"), ("state_sha256", 0),
     ])
     def test_bad_field_falls_back_to_prev(self, tmp_path, key, value):
@@ -127,6 +127,72 @@ class TestManifestFields:
             Wayfinder.resume(path)
         assert store.latest_valid_checkpoint(NAME) == path
         assert load_checkpoint_file(path)["trials"] == 5
+
+    def test_manifest_size_does_not_grow_with_history(self, tmp_path):
+        spec = _spec(iterations=1)
+        store = ResultsStore(str(tmp_path))
+        wayfinder = Wayfinder.from_spec(spec)
+        checkpointer = wayfinder.enable_checkpointing(store, name=NAME)
+        session = wayfinder.build_session().session
+        space = session.backend.space
+        rng = random.Random(5)
+        manifests = {}
+        for count in (100, 10 ** 4):
+            for index in range(len(session.history), count):
+                session.history.add(TrialRecord(
+                    index=index,
+                    configuration=space.sample_configuration(rng),
+                    objective=rng.uniform(1e3, 1e5), crashed=False,
+                    failure_stage=FailureStage.NONE, failure_reason="",
+                    metric_value=rng.uniform(1e3, 1e5), memory_mb=None,
+                    duration_s=rng.uniform(10, 600),
+                    started_at_s=index * 600.0))
+            with open(checkpointer.save()) as handle:
+                manifests[count] = handle.read()
+        small, large = (json.loads(manifests[count])
+                        for count in (100, 10 ** 4))
+        assert abs(len(manifests[10 ** 4]) - len(manifests[100])) <= 64
+        varying = {"trials", "summary", "state_sha256", "state_bytes"}
+        assert small.keys() == large.keys()
+        assert {key: small[key] for key in small.keys() - varying} \
+            == {key: large[key] for key in large.keys() - varying}
+        assert small["summary"].keys() == large["summary"].keys()
+        assert load_checkpoint_file(store.checkpoint_path(NAME))["trials"] \
+            == 10 ** 4
+
+    def test_frames_past_the_prev_prefix_do_not_fail_it(self, tmp_path):
+        reference, store = _checkpointed_run(_spec(), str(tmp_path))
+        payloads_path = store.checkpoint_trial_paths(NAME)[1]
+        last = trialstore.scan_payload_blocks(payloads_path)[-1]
+        # garbage over the frame only the current manifest references
+        with open(payloads_path, "r+b") as handle:
+            handle.seek(last["offset"])
+            handle.write(b"JUNK")
+        path = store.checkpoint_path(NAME)
+        with pytest.raises(ValueError):
+            load_checkpoint_file(path)
+        prev = load_checkpoint_file(store.checkpoint_backup_path(NAME))
+        assert prev["trials"] == 5
+        assert store.latest_valid_checkpoint(NAME) == path
+        resumed = Wayfinder.resume(path)
+        resumed.enable_checkpointing(store, name=NAME, every=1)
+        assert _trajectory(resumed.specialize().history) == reference
+
+    def test_corrupt_first_block_starts_fresh(self, tmp_path):
+        reference, store = _checkpointed_run(_spec(), str(tmp_path))
+        payloads_path = store.checkpoint_trial_paths(NAME)[1]
+        first = trialstore.scan_payload_blocks(payloads_path)[0]
+        with open(payloads_path, "r+b") as handle:
+            handle.seek(first["offset"] + trialstore.BLOCK_HEADER_SIZE + 3)
+            byte = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte ^ 0x04]))
+        # every row depends on block 0, so neither manifest loads ...
+        assert store.latest_valid_checkpoint(NAME) is None
+        # ... and a fresh run over the same files rewrites them
+        assert _checkpointed_run(_spec(), str(tmp_path))[0] == reference
+        assert load_checkpoint_file(store.checkpoint_path(NAME))["trials"] \
+            == len(reference)
 
     def test_json_list_manifest_falls_back_to_prev(self, tmp_path):
         _, store = _checkpointed_run(_spec(), str(tmp_path))

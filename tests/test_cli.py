@@ -347,6 +347,33 @@ class TestCheckpointResumeCli:
                      "--results", str(tmp_path)]) == 2
         assert "no checkpoint" in capsys.readouterr().err
 
+    def test_damaged_checkpoint_resumes_from_prev_by_name(self, tmp_path,
+                                                         capsys):
+        results_dir = str(tmp_path / "results")
+        assert main([
+            "run", "--application", "nginx", "--algorithm", "random",
+            "--iterations", "4", "--seed", "3", "--results", results_dir,
+            "--name", "ck", "--checkpoint-every", "1",
+        ]) == 0
+        capsys.readouterr()
+        state_path = os.path.join(results_dir, "ck.checkpoint.state.npz")
+        with open(state_path, "r+b") as handle:
+            handle.seek(100)
+            byte = handle.read(1)[0]
+            handle.seek(100)
+            handle.write(bytes([byte ^ 0x10]))
+        damaged = os.path.join(results_dir, "ck.checkpoint.json")
+        # an explicit damaged path is refused in one line, not a traceback
+        assert main(["run", "--resume", damaged]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("--resume: ") and error.count("\n") == 1
+        # by name, the damaged checkpoint is set aside and .prev resumed
+        assert main(["run", "--resume", "ck", "--results", results_dir]) == 0
+        output = capsys.readouterr().out
+        assert "(3 trials done)" in output
+        assert "iterations         4" in output
+        assert os.path.exists(damaged + ".corrupt")
+
     def test_checkpoint_requires_results(self, capsys):
         assert main(["run", "--iterations", "2", "--checkpoint-every", "1"]) == 2
         assert "--results" in capsys.readouterr().err

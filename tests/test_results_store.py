@@ -77,6 +77,13 @@ class TestResultsStore:
         assert metadata["metadata"]["application"] == "nginx"
         assert metadata["summary"]["trials"] == len(history)
 
+    def test_non_object_metadata_is_a_value_error(self, tmp_path):
+        store = ResultsStore(str(tmp_path))
+        with open(store.history_path("run"), "w") as handle:
+            handle.write("[1]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            store.load_metadata("run")
+
     def test_load_with_explicit_metric(self, tmp_path, small_linux_model):
         history = self.make_history(small_linux_model)
         store = ResultsStore(str(tmp_path))
@@ -96,11 +103,13 @@ class TestResultsStore:
         assert len(lines) == len(history) + 1
         assert "net.core.somaxconn" in lines[0]
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 6, 99])
     def test_unsupported_version_rejected(self, version, tmp_path,
                                           small_linux_model):
-        # format 3 is the only one read: the inline records of version 1 and
-        # the raw sidecars of version 2 are rejected like an unknown version
+        # format 4 (checkpoint format 7) is the only one read: the inline
+        # records of version 1, the raw sidecars of version 2 and the
+        # manifest-carried block index of history version 3 and checkpoint
+        # version 6 are rejected like an unknown version
         store = ResultsStore(str(tmp_path))
         history = self.make_history(small_linux_model, iterations=2)
         path = store.save_history("run", history)

@@ -1,7 +1,7 @@
-"""Golden-file pinning of the format-v3 store and the reports built on it.
+"""Golden-file pinning of the format-v4 store and the reports built on it.
 
 A campaign stored in the columnar format (block-compressed payload sidecar,
-format version 3) must keep producing byte-identical report text and JSON.
+format version 4) must keep producing byte-identical report text and JSON.
 The expected bytes are committed under ``tests/data/``; any change to trial
 rows, sidecar frames, the readers or the aggregation that moves a single
 byte of the report fails here.  Regenerate the files only for a deliberate
@@ -33,11 +33,11 @@ def _golden(name):
 
 
 @pytest.fixture(scope="module")
-def v3_dir(tmp_path_factory):
-    """A complete campaign stored in the current (version 3) format."""
+def v4_dir(tmp_path_factory):
+    """A complete campaign stored in the current (version 4) format."""
     from repro.platform.campaign_runner import CampaignRunner
 
-    directory = str(tmp_path_factory.mktemp("golden-v3"))
+    directory = str(tmp_path_factory.mktemp("golden-v4"))
     result = CampaignRunner(make_campaign(), directory, procs=1).run()
     assert result.ok
     return directory
@@ -49,16 +49,16 @@ def _history_names(directory):
 
 
 class TestDocumentEquivalence:
-    """The lazy view and the materializing loader agree on v3 stores."""
+    """The lazy view and the materializing loader agree on v4 stores."""
 
-    def test_fixtures_are_the_claimed_formats(self, v3_dir):
-        for name in _history_names(v3_dir):
-            with open(os.path.join(v3_dir, name + ".json")) as handle:
-                assert json.load(handle)["format_version"] == 3
+    def test_fixtures_are_the_claimed_formats(self, v4_dir):
+        for name in _history_names(v4_dir):
+            with open(os.path.join(v4_dir, name + ".json")) as handle:
+                assert json.load(handle)["format_version"] == 4
 
-    def test_view_matches_materializing_loader(self, v3_dir):
-        for name in _history_names(v3_dir):
-            path = os.path.join(v3_dir, name + ".json")
+    def test_view_matches_materializing_loader(self, v4_dir):
+        for name in _history_names(v4_dir):
+            path = os.path.join(v4_dir, name + ".json")
             reference = load_history_document(path)
             view = open_history_view(path)
             assert len(view) == len(reference["records"])
@@ -68,31 +68,31 @@ class TestDocumentEquivalence:
 
 
 class TestReportEquivalence:
-    """The report over a v3 campaign matches the committed bytes."""
+    """The report over a v4 campaign matches the committed bytes."""
 
-    def test_report_json_is_byte_identical(self, v3_dir):
+    def test_report_json_is_byte_identical(self, v4_dir):
         from repro.analysis.campaign_report import campaign_report_document
 
-        document = json.dumps(campaign_report_document(v3_dir),
+        document = json.dumps(campaign_report_document(v4_dir),
                               indent=2, sort_keys=True)
         assert document == _golden("campaign_report.json")
 
-    def test_report_text_is_byte_identical(self, v3_dir):
+    def test_report_text_is_byte_identical(self, v4_dir):
         from repro.analysis.campaign_report import render_campaign_report
 
-        assert render_campaign_report(v3_dir, max_points=8) == \
+        assert render_campaign_report(v4_dir, max_points=8) == \
             _golden("campaign_report.txt")
 
-    def test_streaming_series_matches_reference_path(self, v3_dir):
+    def test_streaming_series_matches_reference_path(self, v4_dir):
         from repro.analysis.campaign_report import (
             load_campaign,
             per_iteration_cost_series,
         )
 
-        results = load_campaign(v3_dir)
+        results = load_campaign(v4_dir)
         for algorithm in results.axis_values("algorithm"):
             streaming = per_iteration_cost_series(results, algorithm)
             reference = per_iteration_cost_series_reference(
-                load_campaign(v3_dir), algorithm)
+                load_campaign(v4_dir), algorithm)
             assert streaming == reference
             assert json.dumps(streaming) == json.dumps(reference)

@@ -141,6 +141,12 @@ class TestZooStore:
         (zoo / ZOO_INDEX_NAME).write_text("{not json")
         assert load_zoo_index(str(zoo)) == {}
 
+    def test_non_object_index_reads_as_empty(self, tmp_path):
+        zoo = tmp_path / "zoo"
+        zoo.mkdir()
+        (zoo / ZOO_INDEX_NAME).write_text("[1]")
+        assert load_zoo_index(str(zoo)) == {}
+
     def test_torn_model_file_raises_zoo_error(self, tmp_path, small_encoder):
         zoo = str(tmp_path / "zoo")
         entry = publish_zoo_entry(zoo, "nginx", small_encoder,

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -32,21 +34,19 @@ from repro.vm.failures import FailureStage
 from tests.conftest import SMALL_SPACE_OPTIONS
 
 
-def view_over(columns_path, payloads_path, count, blocks=None):
+def view_over(columns_path, payloads_path, count):
     """A :class:`ColumnarHistoryView` over two sidecars, as a manifest next
     to them referencing their first *count* rows would open it."""
     document = {"trials": count,
                 "trial_columns": os.path.basename(columns_path),
                 "trial_payloads": os.path.basename(payloads_path)}
-    if blocks is not None:
-        document["payload_blocks"] = blocks
     manifest_path = os.path.join(os.path.dirname(columns_path), "m.json")
     return ColumnarHistoryView(manifest_path, document)
 
 
-def read_record_dicts(columns_path, payloads_path, count, blocks=None):
+def read_record_dicts(columns_path, payloads_path, count):
     """The first *count* stored rows, materialized through the view."""
-    return view_over(columns_path, payloads_path, count, blocks).record_dicts()
+    return view_over(columns_path, payloads_path, count).record_dicts()
 
 
 def random_record(space, rng, index):
@@ -294,10 +294,9 @@ class TestCompressedSidecar:
         with TrialStoreWriter(columns_path, payloads_path) as writer:
             writer.extend(self._records(small_space, 6))
             writer.flush()
-            blocks = writer.blocks
         with open(payloads_path, "rb") as handle:
             assert handle.read(8) == trialstore.PAYLOAD_MAGIC
-        assert blocks == trialstore.scan_payload_blocks(payloads_path)
+        blocks = trialstore.scan_payload_blocks(payloads_path)
         # logical offsets and sizes tile the uncompressed stream exactly
         assert blocks[0]["raw_offset"] == 0
         for before, after in zip(blocks, blocks[1:]):
@@ -315,16 +314,15 @@ class TestCompressedSidecar:
             handle.write(trialstore.PAYLOAD_MAGIC[:7])
         with TrialStoreWriter(columns_path, payloads_path) as writer:
             assert writer.count == 0
-            assert writer.blocks == []
+            assert os.path.getsize(payloads_path) \
+                == trialstore.PAYLOAD_HEADER_SIZE
             writer.extend(records)
             writer.flush()
-            blocks = writer.blocks
         with open(payloads_path, "rb") as handle:
             assert handle.read(8) == trialstore.PAYLOAD_MAGIC
-        assert blocks == trialstore.scan_payload_blocks(payloads_path)
         # JSON-bytes comparison: NaN objectives defeat float equality
         assert json.dumps(
-            read_record_dicts(columns_path, payloads_path, 10, blocks),
+            read_record_dicts(columns_path, payloads_path, 10),
             sort_keys=True) \
             == json.dumps([record_to_dict(r) for r in records],
                           sort_keys=True)
@@ -344,7 +342,7 @@ class TestCompressedSidecar:
         with pytest.raises(ValueError):
             read_record_dicts(columns_path, payloads_path, 6)
         with pytest.raises(ValueError):
-            trialstore.open_payload_reader(payloads_path, [])
+            trialstore.BlockPayloadReader(payloads_path)
 
     def test_multi_block_flush_reads_back(self, tmp_path, small_space):
         records = self._records(small_space, 40)
@@ -353,15 +351,15 @@ class TestCompressedSidecar:
                               block_raw_bytes=256) as writer:
             writer.extend(records)
             writer.flush()
-            blocks = writer.blocks
+        blocks = trialstore.scan_payload_blocks(payloads_path)
         assert len(blocks) > 3  # the tiny budget forced many frames
         # every block boundary falls on a JSONL line boundary
-        reader = trialstore.open_payload_reader(payloads_path, blocks)
+        reader = trialstore.BlockPayloadReader(payloads_path)
         for entry in blocks:
             raw = reader.read(entry["raw_offset"], entry["raw_size"])
             assert raw.endswith(b"\n")
         assert json.dumps(
-            read_record_dicts(columns_path, payloads_path, 40, blocks),
+            read_record_dicts(columns_path, payloads_path, 40),
             sort_keys=True) \
             == json.dumps([record_to_dict(r) for r in records],
                           sort_keys=True)
@@ -380,8 +378,7 @@ class TestCompressedSidecar:
             writer.extend(records[7:])
             writer.flush()
         assert json.dumps(
-            read_record_dicts(columns_path, payloads_path, 12,
-                              trialstore.scan_payload_blocks(payloads_path)),
+            read_record_dicts(columns_path, payloads_path, 12),
             sort_keys=True) \
             == json.dumps([record_to_dict(r) for r in records],
                           sort_keys=True)
@@ -393,7 +390,7 @@ class TestCompressedSidecar:
                               block_raw_bytes=512) as writer:
             writer.extend(records)
             writer.flush()
-            blocks = writer.blocks
+        blocks = trialstore.scan_payload_blocks(payloads_path)
         assert len(blocks) >= 2
         # crash mid-frame: the last block's frame loses its final bytes
         with open(payloads_path, "r+b") as handle:
@@ -408,13 +405,13 @@ class TestCompressedSidecar:
             coverage = survivors[-1]["raw_offset"] + survivors[-1]["raw_size"]
             assert 0 < count < 20
             assert json.dumps(
-                read_record_dicts(columns_path, payloads_path, count,
-                                  writer.blocks), sort_keys=True) \
+                read_record_dicts(columns_path, payloads_path, count),
+                sort_keys=True) \
                 == json.dumps([record_to_dict(r) for r in records[:count]],
                               sort_keys=True)
-            assert writer.blocks == survivors
             assert coverage >= sum(
                 len(trialstore.encode_payload(r)) for r in records[:count])
+        assert trialstore.scan_payload_blocks(payloads_path) == survivors
 
     def test_mid_block_rewind_splits_the_straddling_frame(self, tmp_path,
                                                           small_space):
@@ -431,8 +428,7 @@ class TestCompressedSidecar:
             writer.extend(replacement)
             writer.flush()
         assert json.dumps(
-            read_record_dicts(columns_path, payloads_path, 10,
-                              trialstore.scan_payload_blocks(payloads_path)),
+            read_record_dicts(columns_path, payloads_path, 10),
             sort_keys=True) \
             == json.dumps(
                 [record_to_dict(r) for r in records[:5] + replacement],
@@ -443,28 +439,181 @@ class TestCompressedSidecar:
         with TrialStoreWriter(columns_path, payloads_path) as writer:
             writer.extend(self._records(small_space, 4))
             writer.flush()
-            blocks = writer.blocks
         # flip bytes inside the zlib stream, keeping the frame header intact
         with open(payloads_path, "r+b") as handle:
             handle.seek(trialstore.PAYLOAD_HEADER_SIZE
                         + trialstore.BLOCK_HEADER_SIZE + 2)
             handle.write(b"\xff\xff\xff\xff")
         with pytest.raises(ValueError):
-            read_record_dicts(columns_path, payloads_path, 4, blocks)
+            read_record_dicts(columns_path, payloads_path, 4)
 
-    def test_blocked_manifest_over_raw_sidecar_rejected(self, tmp_path,
-                                                        small_space):
-        records = self._records(small_space, 3)
+    def test_old_payload_layout_is_refused(self, tmp_path, small_space):
         columns_path, payloads_path = self._paths(tmp_path, "x")
-        columns, payloads = trialstore.serialize_records(records)
-        with open(columns_path, "wb") as handle:
-            handle.write(trialstore.make_header() + columns)
-        with open(payloads_path, "wb") as handle:
-            handle.write(payloads)
-        bogus = [{"offset": trialstore.PAYLOAD_HEADER_SIZE, "size": 10,
-                  "raw_offset": 0, "raw_size": len(payloads)}]
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            writer.extend(self._records(small_space, 3))
+            writer.flush()
+        # the layout-1 sidecar: plain frames only, index in the manifest
+        with open(payloads_path, "r+b") as handle:
+            handle.seek(8)
+            handle.write(struct.pack("<I", 1))
+        with pytest.raises(ValueError, match="unsupported payload block"):
+            trialstore.BlockPayloadReader(payloads_path)
+        with pytest.raises(ValueError, match="unsupported payload block"):
+            read_record_dicts(columns_path, payloads_path, 3)
+        with pytest.raises(ValueError, match="unsupported payload block"):
+            TrialStoreWriter(columns_path, payloads_path)
+
+
+class TestDictionaryFrames:
+    """Later frames compress against the first block's raw bytes."""
+
+    def _records(self, small_space, n, seed=21):
+        rng = random.Random(seed)
+        return [random_record(small_space, rng, i) for i in range(n)]
+
+    def _store(self, tmp_path, stem, flushes):
+        """Write one store, one flush per record list; returns its paths."""
+        columns_path = str(tmp_path / (stem + ".trials.bin"))
+        payloads_path = str(tmp_path / (stem + ".trials.jsonl"))
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            for records in flushes:
+                writer.extend(records)
+                writer.flush()
+        return columns_path, payloads_path
+
+    @staticmethod
+    def _bytes(*paths):
+        contents = []
+        for path in paths:
+            with open(path, "rb") as handle:
+                contents.append(handle.read())
+        return contents
+
+    def _frame_magics(self, payloads_path):
+        with open(payloads_path, "rb") as handle:
+            data = handle.read()
+        return [data[block["offset"]:block["offset"] + 4]
+                for block in trialstore.scan_payload_blocks(payloads_path)]
+
+    def test_one_row_frames_round_trip_small(self, tmp_path, small_space):
+        records = self._records(small_space, 12)
+        columns_path, payloads_path = self._store(
+            tmp_path, "d", [[record] for record in records])
+        assert self._frame_magics(payloads_path) \
+            == [trialstore.BLOCK_MAGIC] + [trialstore.DICT_BLOCK_MAGIC] * 11
+        assert json.dumps(read_record_dicts(columns_path, payloads_path, 12),
+                          sort_keys=True) \
+            == json.dumps([record_to_dict(r) for r in records],
+                          sort_keys=True)
+        # a row framed against the dictionary costs far less than one
+        # compressed on its own
+        blocks = trialstore.scan_payload_blocks(payloads_path)
+        plain = sum(len(zlib.compress(trialstore.encode_payload(r), 6))
+                    for r in records[1:])
+        assert sum(block["size"] for block in blocks[1:]) < plain / 2
+        view = view_over(columns_path, payloads_path, 12)
+        for position in (11, 0, 5):
+            assert json.dumps(view.record_dict(position), sort_keys=True) \
+                == json.dumps(record_to_dict(records[position]),
+                              sort_keys=True)
+
+    def test_rewind_into_block_zero_reframes_it_plain(self, tmp_path,
+                                                      small_space):
+        records = self._records(small_space, 9)
+        columns_path, payloads_path = self._store(
+            tmp_path, "a", [records[:5], [records[5]], [records[6]]])
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            writer.rewind(3)  # inside block 0: the new block 0 is rows 0-2
+            for record in records[3:]:
+                writer.append(record)
+                writer.flush()
+        # the same bytes as a store whose first flush held rows 0-2: the
+        # re-framed prefix is the dictionary of every later frame
+        reference = self._store(
+            tmp_path, "b", [records[:3]] + [[r] for r in records[3:]])
+        assert self._bytes(columns_path, payloads_path) \
+            == self._bytes(*reference)
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            writer.rewind(0)
+            assert os.path.getsize(payloads_path) \
+                == trialstore.PAYLOAD_HEADER_SIZE
+            writer.extend(records[:2])
+            writer.flush()
+        assert self._frame_magics(payloads_path) == [trialstore.BLOCK_MAGIC]
+
+    def test_rewind_past_block_zero_keeps_the_dictionary(self, tmp_path,
+                                                         small_space):
+        records = self._records(small_space, 9)
+        columns_path, payloads_path = self._store(
+            tmp_path, "a", [records[:2], records[2:7], [records[7]]])
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            writer.rewind(4)  # inside the dictionary frame of rows 2-6
+            writer.extend(records[4:])
+            writer.flush()
+        reference = self._store(
+            tmp_path, "b", [records[:2], records[2:4], records[4:]])
+        assert self._bytes(columns_path, payloads_path) \
+            == self._bytes(*reference)
+
+    def test_reopen_after_a_torn_dictionary_frame(self, tmp_path, small_space):
+        records = self._records(small_space, 6)
+        columns_path, payloads_path = self._store(
+            tmp_path, "t", [[record] for record in records])
+        intact = self._bytes(columns_path, payloads_path)
+        with open(payloads_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(payloads_path) - 3)
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            assert writer.count == 5  # the torn frame's row is dropped
+            # the recovered dictionary frames the row exactly as before
+            writer.append(records[5])
+            writer.flush()
+        assert self._bytes(columns_path, payloads_path) == intact
+
+    def test_corrupt_block_zero_fails_every_row_after_it(self, tmp_path,
+                                                         small_space):
+        records = self._records(small_space, 6)
+        columns_path, payloads_path = self._store(
+            tmp_path, "c", [records[:2]] + [[r] for r in records[2:]])
+        first = trialstore.scan_payload_blocks(payloads_path)[0]
+        with open(payloads_path, "rb") as handle:
+            intact = handle.read()
+        start, end = first["offset"], first["offset"] + first["size"]
+        # a flipped bit in block 0's zlib stream
+        flipped = bytearray(intact)
+        flipped[start + trialstore.BLOCK_HEADER_SIZE + 3] ^= 0x04
+        # a well-formed block 0 of the same raw length holding other bytes
+        raw = trialstore.decode_payload_block(intact[start:end],
+                                              payloads_path, None)
+        other = raw.replace(b'"failure_reason":"', b'"failure_reason":"!', 1)
+        other = other[:len(raw) - 1] + b"\n"
+        swapped, _ = trialstore.compress_payload_blocks(other, None)
+        for damaged in (bytes(flipped), intact[:start] + swapped + intact[end:]):
+            with open(payloads_path, "wb") as handle:
+                handle.write(damaged)
+            for position in range(2, 6):
+                with pytest.raises(ValueError, match="undecodable"):
+                    view_over(columns_path, payloads_path, 6).payload(position)
+            with pytest.raises(ValueError):
+                read_record_dicts(columns_path, payloads_path, 6)
+
+    def test_frames_past_a_manifest_prefix_are_never_read(self, tmp_path,
+                                                          small_space):
+        records = self._records(small_space, 5)
+        columns_path, payloads_path = self._store(
+            tmp_path, "p", [[record] for record in records])
+        blocks = trialstore.scan_payload_blocks(payloads_path)
+        # garbage over the last frame and a torn tail after it
+        with open(payloads_path, "r+b") as handle:
+            handle.seek(blocks[-1]["offset"])
+            handle.write(b"JUNK")
+            handle.seek(0, os.SEEK_END)
+            handle.write(trialstore.DICT_BLOCK_MAGIC + b"\x01")
+        assert json.dumps(read_record_dicts(columns_path, payloads_path, 4),
+                          sort_keys=True) \
+            == json.dumps([record_to_dict(r) for r in records[:4]],
+                          sort_keys=True)
         with pytest.raises(ValueError):
-            trialstore.open_payload_reader(payloads_path, bogus)
+            read_record_dicts(columns_path, payloads_path, 5)
 
 
 def test_configuration_payloads_roundtrip_unicode(tmp_path, small_space):
