@@ -544,31 +544,3 @@ class ConfigEncoder:
             start, stop = self._slices[parameter.name]
             values[parameter.name] = parameter.decode(list(vector[start:stop]))
         return Configuration(self.space, values)
-
-    # -- distances -------------------------------------------------------------------
-    def distance(self, first: Configuration, second: Configuration) -> float:
-        """Euclidean distance between two configurations in encoded space."""
-        return float(np.linalg.norm(self.encode(first) - self.encode(second)))
-
-    def dissimilarity(self, candidate: np.ndarray, known: np.ndarray) -> float:
-        """Dissimilarity term of the DeepTune scoring function (paper eq. 2).
-
-        ``ds(x, X) = 1 - 1 / (1 + ||x - X||^2)`` where ``||x - X||`` is the
-        distance from the candidate to the closest known sample.  A value near
-        0 means the candidate sits on top of an already explored point; a
-        value near 1 means it lies in unexplored territory.
-
-        The squared distance is averaged over the encoded dimensions so the
-        term keeps a useful dynamic range on high-dimensional spaces (with raw
-        Euclidean distances over hundreds of columns the expression saturates
-        at 1 for every candidate).
-        """
-        candidate = np.asarray(candidate, dtype=np.float64)
-        known = np.asarray(known, dtype=np.float64)
-        if known.size == 0:
-            return 1.0
-        if known.ndim == 1:
-            known = known.reshape(1, -1)
-        distances = np.linalg.norm(known - candidate.reshape(1, -1), axis=1)
-        nearest_sq = float(np.min(distances) ** 2) / max(1, self._width)
-        return 1.0 - 1.0 / (1.0 + nearest_sq)

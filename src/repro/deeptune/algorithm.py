@@ -30,10 +30,10 @@ from repro.deeptune.model import DeepTuneModel
 from repro.deeptune.pool import PoolSampler
 from repro.deeptune.scoring import score_candidates
 from repro.platform.history import ExplorationHistory, TrialRecord
-from repro.search.base import SearchAlgorithm
+from repro.search.base import LearningSearch
 
 
-class DeepTuneSearch(SearchAlgorithm):
+class DeepTuneSearch(LearningSearch):
     """The DeepTune optimization algorithm (§3.2)."""
 
     name = "deeptune"
@@ -204,12 +204,18 @@ class DeepTuneSearch(SearchAlgorithm):
                                        history, k, skip_explored=False)
 
     def observe(self, record: TrialRecord) -> None:
-        vector = self.encoder.encode(record.configuration)
-        self.model.add_observation(vector, record.objective, record.crashed)
-        self._track_best(record)
+        self._remember(record)
         self.model.fit_incremental(
             steps=self.training_steps_per_iteration, batch_size=self.batch_size
         )
+
+    def _remember(self, record: TrialRecord) -> None:
+        """The bookkeeping half of :meth:`observe`: replay buffer, Welford
+        moments and best-8 list, without the training update."""
+        super()._remember(record)
+        vector = self.encoder.encode(record.configuration)
+        self.model.add_observation(vector, record.objective, record.crashed)
+        self._track_best(record)
 
     # -- checkpointing ----------------------------------------------------------------------
     def export_state(self) -> dict:
@@ -218,21 +224,22 @@ class DeepTuneSearch(SearchAlgorithm):
         The model contributes plain arrays and builtins
         (:meth:`DeepTuneModel.export_state`), so the state names no class of
         this package; the resumed search's model is built from the same spec
-        and adopts them.
+        and adopts them.  Rows a model arrived with cannot be rebuilt from
+        the trial rows, so such a search refuses.
         """
+        if self.transferred:
+            raise ValueError("cannot checkpoint a search whose model arrived "
+                             "with {} observations: a resume could not "
+                             "rebuild them".format(self._own_rows_start))
         state = super().export_state()
         state["model"] = self.model.export_state()
         state["provenance"] = copy.deepcopy(self.provenance)
-        state["best_values"] = [c.as_dict() for c in self._best_configurations]
-        state["best_objectives"] = list(self._best_objectives)
         state["pool_rng"] = self._pool_rng.bit_generator.state
         return state
 
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
+    def import_state(self, state: dict,
+                     history: Sequence[TrialRecord]) -> None:
+        super().import_state(state, history)
         self.model.import_state(state["model"])
         self.provenance = copy.deepcopy(state["provenance"])
-        self._best_configurations = [Configuration(self.space, values)
-                                     for values in state["best_values"]]
-        self._best_objectives = [float(value) for value in state["best_objectives"]]
         self._pool_rng.bit_generator.state = state["pool_rng"]

@@ -25,7 +25,6 @@ as the search progresses — the property Figure 7 contrasts with Unicorn.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -333,43 +332,26 @@ class DeepTuneModel:
 
     # -- checkpointing ---------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """Everything later training and prediction read, as builtins and arrays.
+        """What later training and prediction read that no trial row holds.
 
-        The weights use the zoo's :meth:`state_dict` codec.  Gradient
-        buffers, layer caches and buffer slack are overwritten before they
-        are next read, so they are not exported.
+        The weights use the zoo's :meth:`state_dict` codec.  The replay
+        buffer and its moments are not exported: a resume rebuilds them by
+        replaying the stored trials through :meth:`add_observation`.
+        Gradient buffers and layer caches are overwritten before they are
+        next read, so they are not exported either.
         """
-        n = self._count
         return {
             "weights": self.state_dict(),
             "optimizer": self.optimizer.export_state(),
             "rbf_optimizer": self.rbf_optimizer.export_state(),
-            "features": self._feature_buffer[:n].copy(),
-            "targets": self._target_buffer[:n].copy(),
-            "crashed": self._crash_buffer[:n].copy(),
-            "feature_moments": _moments_state(self._feature_moments),
-            "target_moments": _moments_state(self._target_moments),
             "rng": self._rng.bit_generator.state,
         }
 
     def import_state(self, state: Dict[str, object]) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
+        """Restore a snapshot produced by :meth:`export_state`; the replay
+        buffer is left as it is."""
         self.load_state_dict(state["weights"])
         self.optimizer.import_state(state["optimizer"])
         self.rbf_optimizer.import_state(state["rbf_optimizer"])
-        self._feature_buffer = np.array(state["features"], dtype=np.float64)
-        self._target_buffer = np.array(state["targets"], dtype=np.float64)
-        self._crash_buffer = np.array(state["crashed"], dtype=bool)
-        self._count = len(self._feature_buffer)
-        for moments, saved in ((self._feature_moments, state["feature_moments"]),
-                               (self._target_moments, state["target_moments"])):
-            for name in RunningMoments.__slots__:
-                setattr(moments, name, copy.copy(saved[name]))
         # in place, never a new Generator: the dropout layers hold this one
         self._rng.bit_generator.state = state["rng"]
-
-
-def _moments_state(moments: RunningMoments) -> Dict[str, object]:
-    """``count``, ``mean`` and ``m2`` of *moments*, the arrays copied."""
-    return {name: copy.copy(getattr(moments, name))
-            for name in RunningMoments.__slots__}

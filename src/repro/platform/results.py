@@ -7,12 +7,15 @@ reproduction: a JSON results store that round-trips an entire exploration
 history — configurations, objectives, crash outcomes, timings — plus
 first-class *checkpoints*.  A checkpoint holds the experiment spec, the
 completed trial records, and a state sidecar covering the search algorithm
-(RNG streams, model weights, replay buffers), the execution backend (worker
-clocks, skip-build image state), and the simulator's measurement-noise RNG —
-everything needed for :meth:`Wayfinder.resume` to continue an interrupted
-run *bit-identically* to the uninterrupted one.  The state is a
-:mod:`repro.statecodec` archive (JSON builtins plus ``.npy`` arrays) whose
-length and sha256 the manifest records and the loader verifies.  Flat CSV export for external analysis rounds the module off.
+(RNG streams, model weights and optimizer moments, the order in which it
+observed the trials), the execution backend (worker clocks, skip-build
+image state), and the simulator's measurement-noise RNG — everything needed
+for :meth:`Wayfinder.resume` to continue an interrupted run
+*bit-identically* to the uninterrupted one.  The state holds no copy of the
+trial records: a learning algorithm rebuilds its observations from them.
+The state is a :mod:`repro.statecodec` archive (JSON builtins plus ``.npy``
+arrays) whose length and sha256 the manifest records and the loader
+verifies.  Flat CSV export for external analysis rounds the module off.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ class ResultsStore:
     """Save and load exploration histories and checkpoints as JSON documents."""
 
     FORMAT_VERSION = 4
-    CHECKPOINT_FORMAT_VERSION = 7
+    CHECKPOINT_FORMAT_VERSION = 8
     CHECKPOINT_SUFFIX = ".checkpoint.json"
     #: columnar sidecars holding the trial rows a manifest references (see
     #: :mod:`repro.platform.trialstore`): fixed-width numeric columns in
@@ -237,12 +240,13 @@ class ResultsStore:
 
     # -- reading -----------------------------------------------------------------
     def list_histories(self) -> List[str]:
-        """Names of every stored history, sorted (checkpoints excluded)."""
-        names = []
-        for entry in os.listdir(self.directory):
-            if entry.endswith(".json") and not entry.endswith(self.CHECKPOINT_SUFFIX):
-                names.append(entry[:-5])
-        return sorted(names)
+        """Names of every stored history, sorted: each ``.json`` manifest
+        beside its own columns sidecar, checkpoints excluded."""
+        entries = set(os.listdir(self.directory))
+        return sorted(entry[:-5] for entry in entries
+                      if entry.endswith(".json")
+                      and not entry.endswith(self.CHECKPOINT_SUFFIX)
+                      and entry[:-5] + self.TRIAL_COLUMNS_SUFFIX in entries)
 
     def load_history(self, name: str, space: ConfigSpace,
                      metric: Optional[Metric] = None) -> ExplorationHistory:
@@ -258,12 +262,12 @@ class ResultsStore:
         return history
 
     def load_metadata(self, name: str) -> Dict[str, object]:
-        """Load only the metadata and summary blocks of a stored history."""
+        """Load only the metadata and summary blocks of a stored history;
+        any other document (a campaign manifest) raises ``ValueError``."""
         path = self._path(name)
-        with open(path) as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            raise ValueError("{} is not a JSON object".format(path))
+        document = _read_manifest(path)
+        if "kind" in document:
+            raise ValueError("{} is not a stored history".format(path))
         return {"metadata": document.get("metadata", {}),
                 "summary": document.get("summary", {})}
 
@@ -563,7 +567,8 @@ def restore_search_session(document: Dict[str, object], session) -> None:
     The session must have been built from the same :class:`ExperimentSpec`
     the checkpoint embeds (which is what :meth:`Wayfinder.resume` does); the
     restore then replays the stored records into the history index and hands
-    the decoded state tree to the algorithm, the execution backend, and the
+    the decoded state tree to the algorithm (with the history, which it
+    rebuilds its observations from), the execution backend, and the
     simulator, after which the run loop continues exactly where the
     checkpointed run left off.
     """
@@ -573,7 +578,7 @@ def restore_search_session(document: Dict[str, object], session) -> None:
     for entry in document["records"]:
         session.history.add(record_from_dict(entry, space))
     state = document["state_tree"]
-    session.algorithm.import_state(state["algorithm"])
+    session.algorithm.import_state(state["algorithm"], session.history)
     session.backend.import_state(state["backend"])
     session.batches_run = int(state["batches_run"])
     # carry the original checkpoint cadence, so re-enabling checkpointing on

@@ -655,7 +655,7 @@ class TrialStoreWriter:
                 dtype=np.int64)
             self.count = int(np.searchsorted(ends, coverage, side="right"))
             self._payload_offset = self._payload_end(self.count)
-            self._trim_blocks(self._payload_offset)
+            self._trim_blocks(self._payload_offset, blocks)
         self._columns.truncate(HEADER_SIZE + self.count * TRIAL_DTYPE.itemsize)
         self._columns.seek(0, os.SEEK_END)
         self._payloads.seek(0, os.SEEK_END)
@@ -673,7 +673,8 @@ class TrialStoreWriter:
             frame, self.payloads_path,
             self._dictionary if block["raw_offset"] else None)
 
-    def _trim_blocks(self, target_raw_end: int) -> None:
+    def _trim_blocks(self, target_raw_end: int,
+                     scanned: Optional[List[Dict[str, int]]] = None) -> None:
         """Truncate the compressed sidecar to *target_raw_end* logical bytes.
 
         Whole blocks past the target are dropped; a block straddling it is
@@ -682,9 +683,13 @@ class TrialStoreWriter:
         so the durable stream ends exactly at the last referenced payload
         byte.  Only blocks past the last manifest write are ever split
         (manifests land at flush — hence block — boundaries), so older
-        manifests keep referencing untouched frames.
+        manifests keep referencing untouched frames.  *scanned* is a block
+        index already walked past the target, which saves walking it again.
         """
-        blocks = scan_payload_blocks(self.payloads_path, target_raw_end)
+        if scanned is None:
+            scanned = scan_payload_blocks(self.payloads_path, target_raw_end)
+        blocks = [block for block in scanned
+                  if block["raw_offset"] < target_raw_end]
         covered = (blocks[-1]["raw_offset"] + blocks[-1]["raw_size"]
                    if blocks else 0)
         if covered < target_raw_end:
@@ -716,6 +721,8 @@ class TrialStoreWriter:
             raise ValueError(
                 "cannot rewind to {} rows: only {} are on disk".format(
                     count, self.count))
+        if count == self.count:
+            return
         raw_end = self._payload_end(count)
         self._columns.truncate(HEADER_SIZE + count * TRIAL_DTYPE.itemsize)
         self._trim_blocks(raw_end)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.platform.history import ExplorationHistory, TrialRecord
@@ -213,7 +215,7 @@ class SearchAlgorithm:
 
         The base implementation captures the sampler's RNG stream — the one
         piece of mutable state every algorithm shares.  Subclasses extend the
-        dictionary with their model/plan/observation state; together with
+        dictionary with their model/plan/observation-order state; together with
         :meth:`import_state` this is what makes a checkpointed session resume
         bit-identically (same future proposals, same RNG consumption).
         Exported values must be *snapshots*: mutating the algorithm after the
@@ -221,11 +223,12 @@ class SearchAlgorithm:
         """
         return {"sampler_rng": self.sampler.rng.getstate()}
 
-    def import_state(self, state: dict) -> None:
+    def import_state(self, state: dict, history: Sequence[TrialRecord]) -> None:
         """Restore a snapshot produced by :meth:`export_state`.
 
-        The algorithm must have been constructed with the same space, seed,
-        and options as the exporting instance (the experiment spec guarantees
+        *history* holds the trial records stored beside the snapshot.  The
+        algorithm must have been constructed with the same space, seed, and
+        options as the exporting instance (the experiment spec guarantees
         this on the checkpoint/resume path).
         """
         # saved state turns tuples into lists; setstate wants them back
@@ -234,3 +237,41 @@ class SearchAlgorithm:
 
     def __repr__(self) -> str:
         return "{}(space={!r})".format(type(self).__name__, self.space.name)
+
+
+class LearningSearch(SearchAlgorithm):
+    """A search that keeps a store of the observations it learned from.
+
+    The store is never checkpointed, since every observation is a stored
+    trial row.  The search records the history position of each trial it
+    observes, and a resume replays those rows through :meth:`_remember`,
+    the bookkeeping half of :meth:`observe`, in observation order — not
+    history order, which is completion order within a batch — so running
+    moments and crash penalties come back bit for bit.
+    """
+
+    def __init__(self, space: ConfigSpace, seed: int = 0,
+                 favored_kinds: Optional[Sequence[ParameterKind]] = None) -> None:
+        super().__init__(space, seed=seed, favored_kinds=favored_kinds)
+        self._observed: List[int] = []
+
+    def observe(self, record: TrialRecord) -> None:
+        self._remember(record)
+
+    def _remember(self, record: TrialRecord) -> None:
+        """Add *record* to the observation store; ``record.index`` is its
+        history position.  Subclasses extend this with their own store."""
+        self._observed.append(record.index)
+
+    def export_state(self) -> dict:
+        state = super().export_state()
+        state["observed"] = np.array(self._observed, dtype=np.int64)
+        return state
+
+    def import_state(self, state: dict, history: Sequence[TrialRecord]) -> None:
+        super().import_state(state, history)
+        positions = state["observed"].reshape(-1).tolist()
+        if not all(0 <= position < len(history) for position in positions):
+            raise ValueError("observed positions past the stored trials")
+        for position in positions:
+            self._remember(history[position])

@@ -23,7 +23,7 @@ from repro.config.encoding import ConfigEncoder
 from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.platform.history import ExplorationHistory, TrialRecord
-from repro.search.base import SearchAlgorithm
+from repro.search.base import LearningSearch
 
 
 class GaussianProcess:
@@ -93,7 +93,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float,
     return improvement * cdf + std * pdf
 
 
-class BayesianOptimizationSearch(SearchAlgorithm):
+class BayesianOptimizationSearch(LearningSearch):
     """GP-based Bayesian optimization over the encoded configuration space."""
 
     name = "bayesian"
@@ -126,7 +126,8 @@ class BayesianOptimizationSearch(SearchAlgorithm):
             return 0.0
         return float(np.quantile(successes, self.crash_penalty_quantile))
 
-    def observe(self, record: TrialRecord) -> None:
+    def _remember(self, record: TrialRecord) -> None:
+        super()._remember(record)
         vector = self.encoder.encode(record.configuration)
         self._X.append(vector)
         self._crashed.append(record.crashed)
@@ -193,19 +194,3 @@ class BayesianOptimizationSearch(SearchAlgorithm):
         candidates, order = self._ranked_pool(history)
         return self.sampler.fill_batch(
             (candidates[int(index)] for index in order), history, k)
-
-    # -- checkpointing ------------------------------------------------------------
-    def export_state(self) -> dict:
-        # The GP itself is refit from the observations on every proposal, so
-        # only the observation store needs to be captured.
-        state = super().export_state()
-        state["X"] = np.array(self._X, dtype=np.float64)
-        state["y"] = list(self._y)
-        state["crashed"] = list(self._crashed)
-        return state
-
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self._X = list(np.array(state["X"], dtype=np.float64))
-        self._y = [float(value) for value in state["y"]]
-        self._crashed = [bool(flag) for flag in state["crashed"]]

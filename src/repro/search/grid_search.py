@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.config.parameter import IntParameter, Parameter, ParameterKind
 from repro.config.space import Configuration, ConfigSpace
-from repro.platform.history import ExplorationHistory
+from repro.platform.history import ExplorationHistory, TrialRecord
 from repro.search.base import SearchAlgorithm
 
 
@@ -100,6 +100,7 @@ class GridSearch(SearchAlgorithm):
         state["cursor"] = self._cursor
         return state
 
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
+    def import_state(self, state: dict,
+                     history: Sequence[TrialRecord]) -> None:
+        super().import_state(state, history)
         self._cursor = int(state["cursor"])

@@ -28,7 +28,7 @@ from repro.config.encoding import ConfigEncoder
 from repro.config.parameter import ParameterKind
 from repro.config.space import Configuration, ConfigSpace
 from repro.platform.history import ExplorationHistory, TrialRecord
-from repro.search.base import SearchAlgorithm
+from repro.search.base import LearningSearch
 
 
 def _partial_correlation(data: np.ndarray, i: int, j: int,
@@ -149,7 +149,7 @@ class CausalDiscovery:
         return graph
 
 
-class UnicornSearch(SearchAlgorithm):
+class UnicornSearch(LearningSearch):
     """Causal-inference-driven configuration search (Unicorn-style baseline)."""
 
     name = "unicorn"
@@ -180,7 +180,8 @@ class UnicornSearch(SearchAlgorithm):
         """Naive per-parameter encoding, preserved for the cost profile."""
         return self.encoder.encode_per_parameter(configuration)
 
-    def observe(self, record: TrialRecord) -> None:
+    def _remember(self, record: TrialRecord) -> None:
+        super()._remember(record)
         vector = self._encode(record.configuration)
         self._features.append(vector)
         if record.crashed or record.objective is None:
@@ -246,20 +247,16 @@ class UnicornSearch(SearchAlgorithm):
 
     # -- checkpointing ------------------------------------------------------------
     def export_state(self) -> dict:
-        # ``_graph`` is recomputed from scratch at every proposal (that is
-        # the point of the baseline), so only the observation store and the
-        # bootstrap RNG stream are mutable state.
+        # ``_graph`` is recomputed at every proposal (the point of the
+        # baseline), so the bootstrap RNG stream is the mutable state left.
         state = super().export_state()
-        state["features"] = np.array(self._features, dtype=np.float64)
-        state["objectives"] = list(self._objectives)
         state["bootstrap_rng"] = self.discovery._rng.bit_generator.state
         state["iteration_stats"] = [dict(entry) for entry in self.iteration_stats]
         return state
 
-    def import_state(self, state: dict) -> None:
-        super().import_state(state)
-        self._features = list(np.array(state["features"], dtype=np.float64))
-        self._objectives = [float(value) for value in state["objectives"]]
+    def import_state(self, state: dict,
+                     history: Sequence[TrialRecord]) -> None:
+        super().import_state(state, history)
         self.discovery._rng.bit_generator.state = state["bootstrap_rng"]
         self.iteration_stats = [dict(entry) for entry in state["iteration_stats"]]
         self._graph = None

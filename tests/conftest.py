@@ -11,6 +11,7 @@ import os
 import random
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.apps.registry import default_bench_tool_for, get_application
@@ -36,6 +37,53 @@ def archive_checkpoint(store, name: str, path: str, tag) -> str:
     for source in (path,) + store.checkpoint_trial_paths(name):
         shutil.copy(source, folder)
     return os.path.join(folder, os.path.basename(path))
+
+
+def replay_store(model):
+    """A DeepTune model's replay buffer and Welford moments, as arrays."""
+    n = model.observation_count
+    store = {"features": model._feature_buffer[:n].copy(),
+             "targets": model._target_buffer[:n].copy(),
+             "crashed": model._crash_buffer[:n].copy()}
+    for name in ("feature", "target"):
+        moments = getattr(model, "_{}_moments".format(name))
+        for field in ("count", "mean", "m2"):
+            store["{}_moments.{}".format(name, field)] = np.array(
+                getattr(moments, field), dtype=np.float64)
+    return store
+
+
+def learned_stores(algorithm):
+    """Every observation store a resume rebuilds, as arrays.
+
+    Empty for the algorithms that learn nothing (random, grid).
+    """
+    stores = {}
+    if hasattr(algorithm, "_observed"):
+        stores["observed"] = np.array(algorithm._observed, dtype=np.int64)
+    if hasattr(algorithm, "model"):  # DeepTune
+        stores.update(replay_store(algorithm.model))
+        stores["best_values"] = np.array(
+            [[str(value) for value in configuration.as_dict().values()]
+             for configuration in algorithm._best_configurations])
+        stores["best_objectives"] = np.array(algorithm._best_objectives)
+    if hasattr(algorithm, "_X"):  # Bayesian
+        stores["X"] = np.array(algorithm._X)
+        stores["y"] = np.array(algorithm._y)
+        stores["crashed"] = np.array(algorithm._crashed)
+    if hasattr(algorithm, "_features"):  # Unicorn
+        stores["features"] = np.array(algorithm._features)
+        stores["objectives"] = np.array(algorithm._objectives)
+    return stores
+
+
+def assert_stores_equal(first, second) -> None:
+    """Equal key sets, and each array equal in dtype, shape and bytes."""
+    assert set(first) == set(second)
+    for key in first:
+        assert first[key].dtype == second[key].dtype, key
+        assert first[key].shape == second[key].shape, key
+        assert first[key].tobytes() == second[key].tobytes(), key
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,12 @@ from repro.platform.lifecycle import (
 )
 from repro.platform.results import ResultsStore, load_checkpoint_file
 
-from tests.conftest import SMALL_SPACE_OPTIONS, archive_checkpoint
+from tests.conftest import (
+    SMALL_SPACE_OPTIONS,
+    archive_checkpoint,
+    assert_stores_equal,
+    learned_stores,
+)
 
 #: per-algorithm options keeping the model-guided phases cheap but active
 #: (mirrors tests/test_batch_execution.py).
@@ -93,6 +98,73 @@ class TestResumeDeterminism:
             result = resumed.specialize()
             assert [_trial_tuple(r) for r in result.history] == reference
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("name", sorted(ALGO_OPTIONS))
+    def test_resume_rebuilds_the_observation_stores(self, name, workers,
+                                                    tmp_path):
+        """Every interior checkpoint resumes to an algorithm whose rebuilt
+        observation stores, and whose exported state, equal the
+        uninterrupted run's at that point, array for array.  At 4 workers
+        the observation order differs from the history order."""
+        from repro import statecodec
+
+        spec = _spec(name, workers, 5 if name == "unicorn" else 9)
+        wayfinder = Wayfinder.from_spec(spec)
+        store = ResultsStore(str(tmp_path))
+        wayfinder.enable_checkpointing(store, name=spec.name, every=1)
+        snapshots = []
+
+        def snapshot(session, path):
+            trials = len(session.history)
+            snapshots.append((
+                trials,
+                archive_checkpoint(store, spec.name, path, trials),
+                learned_stores(session.algorithm),
+                statecodec.dumps(session.algorithm.export_state())))
+
+        wayfinder.add_observer(CallbackObserver(on_checkpoint=snapshot))
+        wayfinder.specialize()
+        interior = [entry for entry in snapshots
+                    if 0 < entry[0] < spec.iterations]
+        assert interior
+        reordered = False
+        for trials, path, stores, state in interior:
+            algorithm = Wayfinder.resume(path).build_session().session.algorithm
+            assert_stores_equal(learned_stores(algorithm), stores)
+            assert statecodec.dumps(algorithm.export_state()) == state
+            if "observed" in stores:
+                assert len(stores["observed"]) == trials
+                reordered |= (stores["observed"].tolist()
+                              != list(range(trials)))
+        if workers == 4 and name in ("bayesian", "deeptune"):
+            assert reordered  # a batch completed out of submission order
+
+    def test_deeptune_state_does_not_grow_with_the_history(self, tmp_path):
+        """Between 50 and 200 trials DeepTune's checkpointed state grows by
+        less than 16 bytes per trial: only the observation order grows.
+
+        The algorithm's part of the state file is measured.  The backend's
+        part holds each worker's last running configuration, which comes
+        and goes with crashes (~5 KB on this space) whatever the history's
+        length."""
+        from repro import statecodec
+
+        spec = _spec("deeptune", 1, 200)
+        wayfinder = Wayfinder.from_spec(spec)
+        store = ResultsStore(str(tmp_path))
+        wayfinder.enable_checkpointing(store, name=spec.name, every=50)
+        sizes = {}
+
+        def measure(session, path):
+            state = load_checkpoint_file(path)["state_tree"]
+            sizes[len(session.history)] = len(
+                statecodec.dumps(state["algorithm"]))
+
+        wayfinder.add_observer(CallbackObserver(on_checkpoint=measure))
+        wayfinder.specialize()
+        assert sorted(sizes) == [50, 100, 150, 200]
+        assert (sizes[200] - sizes[50]) / 150 < 16, sizes
+
     @pytest.mark.parametrize("name", sorted(ALGO_OPTIONS))
     def test_same_seed_checkpoints_are_byte_identical(self, name, tmp_path):
         """A checkpoint holds no wall-clock and no uninitialized memory."""
@@ -154,8 +226,12 @@ class TestResumeDeterminism:
             pool_rng = state["algorithm"]["pool_rng"]
             assert pool_rng["bit_generator"] == "PCG64"
             assert isinstance(pool_rng["state"]["state"], int)
-            assert isinstance(state["algorithm"]["model"]["features"],
-                              np.ndarray)
+        if name in ("bayesian", "deeptune", "unicorn"):
+            # the observation order is the one array a learning algorithm
+            # keeps of its history
+            observed = state["algorithm"]["observed"]
+            assert observed.dtype == np.int64
+            assert sorted(observed.tolist()) == list(range(6))
 
     def test_resumed_prefix_matches_stored_records(self, tmp_path):
         spec = _spec("random", 4, 9)
@@ -286,6 +362,24 @@ class TestCheckpointStore:
         """Format 5 embedded its state in the manifest as pickled base64;
         no reader for it is kept."""
         self._refuses_rewritten_version(tmp_path, 5)
+
+    def test_history_copying_state_checkpoint_is_refused(self, tmp_path):
+        """Format 7 held the learning algorithms' replay rows, moments and
+        best lists in the state; no reader for it is kept."""
+        self._refuses_rewritten_version(tmp_path, 7)
+
+    def test_observed_positions_must_index_the_stored_trials(self, tmp_path):
+        """A state that observed more trials than the checkpoint stores
+        cannot rebuild its observations, and is refused."""
+        from repro.platform.results import restore_search_session
+
+        spec = _spec("bayesian", 1, 5)
+        _, archived = _full_run_with_checkpoints(spec, tmp_path)
+        document = load_checkpoint_file(archived[-1][1])
+        document["records"] = document["records"][:3]
+        session = Wayfinder.from_spec(spec).build_session().session
+        with pytest.raises(ValueError, match="observed positions"):
+            restore_search_session(document, session)
 
     def test_restore_requires_fresh_session(self, tmp_path):
         spec = _spec("random", 1, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config.encoding import ConfigEncoder
+from repro.deeptune.scoring import dissimilarity
 
 
 @pytest.fixture
@@ -60,28 +61,20 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             encoder.decode(np.zeros(encoder.width + 1))
 
-    def test_distance_zero_for_identical(self, encoder, default_configuration):
-        assert encoder.distance(default_configuration, default_configuration) == 0.0
-
-    def test_distance_positive_for_different(self, encoder, small_space, rng):
-        default = small_space.default_configuration()
-        other = small_space.mutate_configuration(default, rng, mutation_rate=0.5)
-        assert encoder.distance(default, other) > 0.0
-
 
 class TestDissimilarity:
     def test_unknown_history_gives_max_dissimilarity(self, encoder, default_configuration):
         vector = encoder.encode(default_configuration)
-        assert encoder.dissimilarity(vector, np.empty((0, encoder.width))) == 1.0
+        assert dissimilarity(vector, np.empty((0, encoder.width)))[0] == 1.0
 
     def test_identical_point_gives_zero(self, encoder, default_configuration):
         vector = encoder.encode(default_configuration)
-        assert encoder.dissimilarity(vector, vector.reshape(1, -1)) == pytest.approx(0.0)
+        assert dissimilarity(vector, vector.reshape(1, -1))[0] == pytest.approx(0.0)
 
     def test_dissimilarity_increases_with_distance(self, encoder, small_space, rng):
         default = small_space.default_configuration()
         near = small_space.mutate_configuration(default, rng, mutation_rate=0.02)
         far = small_space.sample_configuration(rng)
         base = encoder.encode(default).reshape(1, -1)
-        assert encoder.dissimilarity(encoder.encode(near), base) <= \
-            encoder.dissimilarity(encoder.encode(far), base) + 1e-9
+        assert dissimilarity(encoder.encode(near), base)[0] <= \
+            dissimilarity(encoder.encode(far), base)[0] + 1e-9

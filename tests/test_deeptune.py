@@ -21,6 +21,7 @@ from repro.deeptune.transfer import (
     transfer_model,
 )
 
+from tests.conftest import assert_stores_equal, replay_store
 
 
 def make_synthetic_dataset(n=120, d=12, seed=0):
@@ -225,35 +226,47 @@ class TestDeepTuneSearch:
         warmed = DeepTuneSearch(small_linux_model.space, model=pretrained)
         assert warmed.transferred
 
+    def test_transferred_search_refuses_to_checkpoint(self, small_linux_model):
+        """Rows a model arrived with are in no trial row, so a resume could
+        not rebuild them: such a search has no checkpoint state."""
+        encoder = ConfigEncoder(small_linux_model.space)
+        pretrained = DeepTuneModel(input_dim=encoder.width, seed=1)
+        DeepTuneSearch(small_linux_model.space, model=pretrained).export_state()
+        pretrained.add_observation(np.zeros(encoder.width), 1.0, False)
+        warmed = DeepTuneSearch(small_linux_model.space, model=pretrained)
+        with pytest.raises(ValueError, match="1 observations"):
+            warmed.export_state()
+
     def test_exported_state_holds_only_what_resume_reads(self, small_linux_model):
         """No wall-clock lists, no layer caches, no gradient buffers and no
         buffer slack ride along in the checkpointed state."""
         search, _ = self.run_session(small_linux_model, iterations=12)
         state = search.export_state()
-        assert set(state) == {"sampler_rng", "model", "provenance",
-                              "best_values", "best_objectives", "pool_rng"}
+        assert set(state) == {"sampler_rng", "observed", "model",
+                              "provenance", "pool_rng"}
+        # one worker observes the trials in history order
+        assert state["observed"].tolist() == list(range(12))
         # the pool generator's PCG64 state, as builtins
         assert set(state["pool_rng"]) == {"bit_generator", "state",
                                           "has_uint32", "uinteger"}
         assert state["pool_rng"]["bit_generator"] == "PCG64"
         assert _arrays_in(state["pool_rng"]) == []  # builtins only
         model_state = state["model"]
+        # no replay row, moment or best configuration: the trial rows
+        # give those back
         assert set(model_state) == {"weights", "optimizer", "rbf_optimizer",
-                                    "features", "targets", "crashed",
-                                    "feature_moments", "target_moments", "rng"}
+                                    "rng"}
         assert set(model_state["weights"]) == set(search.model.state_dict())
         for key in ("optimizer", "rbf_optimizer"):
             assert set(model_state[key]) == {"step", "first_moment",
                                              "second_moment"}
-        for key in ("feature_moments", "target_moments"):
-            assert set(model_state[key]) == {"count", "mean", "m2"}
         model = search.model
         assert model.observation_count == 12
-        # 4 head outputs, 1 target column, rbf2's input is latent1 + phi1
+        # 4 head outputs, 1 target column, rbf2's input is latent1 + phi1;
+        # nothing is as long as the history
         allowed = {model.input_dim, *model.hidden_dims, model.n_centroids,
-                   model.hidden_dims[0] + model.n_centroids, 4, 1,
-                   model.observation_count}
-        assert not allowed & {32, 192}  # the minibatch and the pool
+                   model.hidden_dims[0] + model.n_centroids, 4, 1}
+        assert not allowed & {32, 192, 12}  # minibatch, pool, history
         arrays = _arrays_in(model_state)
         assert len(arrays) > 20
         for array in arrays:
@@ -296,13 +309,13 @@ class TestDeepTuneSearch:
                                   None if crashed else rng.normal(), crashed)
         model.fit_incremental(steps=5)
         model.predict(rng.normal(size=(192, width)))
-        search = DeepTuneSearch(small_linux_model.space, model=model)
-        for array in _arrays_in(search.export_state()["model"]):
+        for array in _arrays_in(model.export_state()):
             assert array.shape[:1] != (192,), array.shape
 
     def test_model_state_round_trips_into_a_fresh_model(self):
-        """A fresh model that imports a trained model's state continues it
-        bit for bit: same training steps, same predictions."""
+        """A fresh model that replays the observed rows and imports a
+        trained model's state continues it bit for bit: same replay buffer
+        and moments, same training steps, same predictions."""
         X, y, crashed = make_synthetic_dataset(n=40, d=6)
         rows = [(row, None if np.isnan(target) else target, bool(crash))
                 for row, target, crash in zip(X, y, crashed)]
@@ -311,18 +324,23 @@ class TestDeepTuneSearch:
             model.add_observation(*row)
             model.fit_incremental(steps=3)
         clone = DeepTuneModel(input_dim=6, seed=4)
+        for row in rows[:30]:
+            clone.add_observation(*row)
         clone.import_state(model.export_state())
+        assert_stores_equal(replay_store(clone), replay_store(model))
         for trained in (model, clone):
             for row in rows[30:]:
                 trained.add_observation(*row)
                 trained.fit_incremental(steps=3)
         assert _arrays_equal(model.export_state(), clone.export_state())
+        assert_stores_equal(replay_store(clone), replay_store(model))
         assert np.array_equal(model.predict(X).uncertainty,
                               clone.predict(X).uncertainty)
 
     def test_import_state_restores_unfitted_scalers(self):
-        """A snapshot taken before any fit restores unfitted scalers and an
-        empty replay buffer, whatever the importing model held."""
+        """A snapshot taken before any fit restores unfitted scalers,
+        whatever the importing model held; its replay buffer is left to
+        the caller."""
         untrained = DeepTuneModel(input_dim=6, seed=4).export_state()
         model = DeepTuneModel(input_dim=6, seed=4)
         X, _, _ = make_synthetic_dataset(n=10, d=6)
@@ -333,7 +351,7 @@ class TestDeepTuneSearch:
         model.import_state(untrained)
         assert not model.feature_scaler.is_fitted
         assert not model.target_scaler.is_fitted
-        assert model.observation_count == 0
+        assert model.observation_count == 10
 
     def test_dissimilarity_skips_pretrained_rows(self, small_linux_model,
                                                  monkeypatch):

@@ -43,21 +43,25 @@ def v4_dir(tmp_path_factory):
     return directory
 
 
-def _history_names(directory):
-    names = ResultsStore(directory).list_histories()
-    return [name for name in names if name != "campaign"]
-
-
 class TestDocumentEquivalence:
     """The lazy view and the materializing loader agree on v4 stores."""
 
     def test_fixtures_are_the_claimed_formats(self, v4_dir):
-        for name in _history_names(v4_dir):
+        for name in ResultsStore(v4_dir).list_histories():
             with open(os.path.join(v4_dir, name + ".json")) as handle:
                 assert json.load(handle)["format_version"] == 4
 
+    def test_campaign_manifest_is_not_a_history(self, v4_dir):
+        """A campaign directory lists exactly its experiments' histories,
+        and the campaign manifest beside them is no history's metadata."""
+        store = ResultsStore(v4_dir)
+        assert store.list_histories() == sorted(
+            spec.name for spec in make_campaign().expand())
+        with pytest.raises(ValueError):
+            store.load_metadata("campaign")
+
     def test_view_matches_materializing_loader(self, v4_dir):
-        for name in _history_names(v4_dir):
+        for name in ResultsStore(v4_dir).list_histories():
             path = os.path.join(v4_dir, name + ".json")
             reference = load_history_document(path)
             view = open_history_view(path)

@@ -541,6 +541,29 @@ class TestDictionaryFrames:
             writer.flush()
         assert self._frame_magics(payloads_path) == [trialstore.BLOCK_MAGIC]
 
+    def test_reopen_and_rewind_walk_the_frames_once(self, tmp_path,
+                                                    small_space, monkeypatch):
+        """A checkpointer reopens its store and rewinds it to the manifest's
+        row count: the recovery scan serves the trim, and a rewind to the
+        current count walks no frame header at all."""
+        records = self._records(small_space, 8)
+        columns_path, payloads_path = self._store(
+            tmp_path, "a", [[record] for record in records])
+        scans = []
+        scan = trialstore.scan_payload_blocks
+
+        def counting_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(trialstore, "scan_payload_blocks", counting_scan)
+        with TrialStoreWriter(columns_path, payloads_path) as writer:
+            writer.rewind(writer.count)
+            assert writer.count == 8
+        assert len(scans) == 1
+        assert read_record_dicts(columns_path, payloads_path, 8) \
+            == [record_to_dict(record) for record in records]
+
     def test_rewind_past_block_zero_keeps_the_dictionary(self, tmp_path,
                                                          small_space):
         records = self._records(small_space, 9)
